@@ -150,7 +150,7 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
 def _schedule_results(sim, ids: np.ndarray, reveal_day: int) -> None:
     st = sim.state
     st.test_pending_day[ids] = reveal_day
-    st.test_positive[ids] = np.isin(st.epi_state[ids], sim.INFECTED_STATES)
+    st.test_positive[ids] = sim.IS_INFECTED[st.epi_state[ids]]
 
 
 def reveal_test_results(sim) -> int:
@@ -190,19 +190,17 @@ def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
     cfg: InterventionConfig = sim.int_cfg
     st = sim.state
 
-    contact_chunks: list[np.ndarray] = []
-    for layer in sim.pop.layers.values():
-        for agent in diagnosed_today:
-            contact_chunks.append(layer.neighbors_of(int(agent)))
+    # Candidates in the order of the layers, then of the diagnosed agents,
+    # then of each agent's edges; yesterday's community pairs follow, read
+    # from either end.
+    contact_chunks = [layer.dst[layer.edges_from(diagnosed_today)] for layer in sim.pop.layers.values()]
     if cfg.trace_community and sim.prev_community_src is not None:
         src, dst = sim.prev_community_src, sim.prev_community_dst
-        mask_s = np.isin(src, diagnosed_today)
-        mask_d = np.isin(dst, diagnosed_today)
-        contact_chunks.append(dst[mask_s])
-        contact_chunks.append(src[mask_d])
+        is_diagnosed = np.zeros(len(st.epi_state), dtype=bool)
+        is_diagnosed[diagnosed_today] = True
+        contact_chunks.append(dst[is_diagnosed[src]])
+        contact_chunks.append(src[is_diagnosed[dst]])
 
-    if not contact_chunks:
-        return 0
     candidates = np.concatenate(contact_chunks)
     if not len(candidates):
         return 0

@@ -20,20 +20,34 @@ LAYER_NAMES = ("household", "school", "work")
 
 @dataclass
 class Layer:
-    """Directed edge list for one static contact layer.
+    """Directed edge list for one static contact layer, with a CSR row index.
 
-    src/dst hold both directions of every undirected contact, so
-    "contacts of agent i" is exactly ``dst[src == i]``.
+    src/dst hold both directions of every undirected contact, sorted by src,
+    and indptr has one entry per agent plus one: the edges leaving agent i
+    are ``indptr[i]:indptr[i + 1]``, so its contacts are that slice of dst.
     """
 
     name: str
     src: np.ndarray
     dst: np.ndarray
+    indptr: np.ndarray
 
     def neighbors_of(self, agent_id: int) -> np.ndarray:
-        lo = np.searchsorted(self.src, agent_id, side="left")
-        hi = np.searchsorted(self.src, agent_id, side="right")
-        return self.dst[lo:hi]
+        return self.dst[self.indptr[agent_id]:self.indptr[agent_id + 1]]
+
+    def edges_from(self, ids: np.ndarray) -> np.ndarray:
+        """Indices of the edges leaving ``ids``, in the order of the ids and then of the edges.
+
+        Repeated ids give their edges again; for ascending unique ids the
+        indices ascend, i.e. they keep the layer's own edge order.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        lo = self.indptr[ids]
+        counts = self.indptr[ids + 1] - lo
+        # Row k's edges are lo[k], lo[k] + 1, ...: one arange over the whole
+        # gather, shifted per row by lo[k] minus the row's start in it.
+        shift = lo - (np.cumsum(counts) - counts)
+        return np.repeat(shift, counts) + np.arange(counts.sum())
 
 
 @dataclass
@@ -76,11 +90,14 @@ def _clique_edges(members_by_group: dict[int, np.ndarray]) -> tuple[np.ndarray, 
     """Both-direction edge arrays for full cliques within each group."""
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # group size -> its triu indices
     for ids in members_by_group.values():
         k = len(ids)
         if k < 2:
             continue
-        a, b = np.triu_indices(k, k=1)
+        if k not in pairs:
+            pairs[k] = np.triu_indices(k, k=1)
+        a, b = pairs[k]
         srcs.append(ids[a])
         dsts.append(ids[b])
     if not srcs:
@@ -95,10 +112,17 @@ def _clique_edges(members_by_group: dict[int, np.ndarray]) -> tuple[np.ndarray, 
 
 
 def _group_members(ids: np.ndarray, group_of: np.ndarray) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    for g in np.unique(group_of):
-        out[int(g)] = ids[group_of == g]
-    return out
+    """Members of each group, in their order within ``ids``, keyed by ascending group."""
+    order = np.argsort(group_of, kind="stable")
+    groups, starts = np.unique(group_of[order], return_index=True)
+    return dict(zip(groups.tolist(), np.split(ids[order], starts[1:])))
+
+
+def _row_index(src: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of a src-sorted edge list over n agents."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generator) -> Population:
@@ -141,7 +165,7 @@ def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generato
         ("work", work_members, work_group),
     ):
         src, dst = _clique_edges(_group_members(ids, groups))
-        layers[name] = Layer(name=name, src=src, dst=dst)
+        layers[name] = Layer(name=name, src=src, dst=dst, indptr=_row_index(src, n))
 
     return Population(
         ages=ages,

@@ -48,6 +48,24 @@ class EpiState(IntEnum):
 INFECTIOUS_STATES = (EpiState.I_ASYMPTOMATIC, EpiState.I_MILD, EpiState.I_SEVERE)
 INFECTED_STATES = (EpiState.EXPOSED,) + INFECTIOUS_STATES
 
+
+def _state_table(states) -> np.ndarray:
+    """Boolean lookup table indexed by EpiState: True for the given states."""
+    table = np.zeros(len(EpiState), dtype=bool)
+    table[list(states)] = True
+    return table
+
+
+IS_INFECTIOUS = _state_table(INFECTIOUS_STATES)
+IS_INFECTED = _state_table(INFECTED_STATES)
+
+# Each state's part in transmission, 0 for neither. A contact's code
+# 3 * role[src] + role[dst] then tells which end, if either, can infect the
+# other.
+SUSCEPTIBLE_ROLE, INFECTIOUS_ROLE = 1, 2
+TRANSMISSION_ROLE = np.where(IS_INFECTIOUS, INFECTIOUS_ROLE, 0).astype(np.int8)
+TRANSMISSION_ROLE[EpiState.SUSCEPTIBLE] = SUSCEPTIBLE_ROLE
+
 # Sentinel for "outcome drawn at transition time" in next_state.
 DRAW_AT_TRANSITION = -1
 
@@ -167,7 +185,7 @@ class Simulation:
     DEAD = int(EpiState.DEAD)
     I_MILD = int(EpiState.I_MILD)
     I_SEVERE = int(EpiState.I_SEVERE)
-    INFECTED_STATES = tuple(int(s) for s in INFECTED_STATES)
+    IS_INFECTED = IS_INFECTED
 
     def __init__(
         self,
@@ -285,30 +303,40 @@ class Simulation:
             return np.empty(0, dtype=np.int64)
 
         epi = st.epi_state
-        infectious = (epi == EpiState.I_ASYMPTOMATIC) | (epi == EpiState.I_MILD) | (epi == EpiState.I_SEVERE)
-        if not infectious.any():
+        role = TRANSMISSION_ROLE[epi]
+        infectious_ids = np.flatnonzero(role == INFECTIOUS_ROLE)
+        if not len(infectious_ids):
             return np.empty(0, dtype=np.int64)
-        susceptible = epi == EpiState.SUSCEPTIBLE
+        susceptible = role == SUSCEPTIBLE_ROLE
         quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
 
         base = iv.apply_lockdown(ch_beta, self.pop_cfg.beta_initial)
         asymp = epi == EpiState.I_ASYMPTOMATIC
         cfg = self.int_cfg
 
-        hit_chunks: list[np.ndarray] = []
-        layer_edges = [(name, layer.src, layer.dst) for name, layer in self.pop.layers.items()]
-        layer_edges.append(("community", self._community_src, self._community_dst))
-        layer_edges.append(("community", self._community_dst, self._community_src))
+        # Candidate (infectious src, susceptible dst) contacts of each layer,
+        # in the layer's edge order: static layers gather only the edges of
+        # today's infectious agents; the community pairs are read once per
+        # endpoint array and yield both directions.
+        candidates: list[tuple[str, np.ndarray, np.ndarray]] = []
+        for name, layer in self.pop.layers.items():
+            e = layer.edges_from(infectious_ids)
+            e = e[susceptible[layer.dst[e]]]
+            candidates.append((name, layer.src[e], layer.dst[e]))
+        c_src, c_dst = self._community_src, self._community_dst
+        code = np.take(role, c_src)
+        code *= 3
+        code += np.take(role, c_dst)
+        forward = np.flatnonzero(code == 3 * INFECTIOUS_ROLE + SUSCEPTIBLE_ROLE)
+        backward = np.flatnonzero(code == 3 * SUSCEPTIBLE_ROLE + INFECTIOUS_ROLE)
+        candidates.append(("community", c_src[forward], c_dst[forward]))
+        candidates.append(("community", c_dst[backward], c_src[backward]))
 
+        hit_chunks: list[np.ndarray] = []
         rng = self.streams["transmission"]
-        for name, src, dst in layer_edges:
-            if not len(src):
+        for name, s, d in candidates:
+            if not len(s):
                 continue
-            cand = infectious[src] & susceptible[dst]
-            if not cand.any():
-                continue
-            s = src[cand]
-            d = dst[cand]
             p = np.full(len(s), base * self._layer_weight[name], dtype=np.float64)
             p *= self._sus_odds[self.pop.age_bands[d]]
             p[asymp[s]] *= self.pop_cfg.asymp_factor
@@ -366,7 +394,7 @@ class Simulation:
                 st.next_state[sev] = EpiState.I_SEVERE
 
         # Infectious agents whose scheduled outcome is due.
-        inf_ids = due[np.isin(due_states, (EpiState.I_ASYMPTOMATIC, EpiState.I_MILD, EpiState.I_SEVERE))]
+        inf_ids = due[IS_INFECTIOUS[due_states]]
         if len(inf_ids):
             to_severe = inf_ids[st.next_state[inf_ids] == EpiState.I_SEVERE]
             if len(to_severe):

@@ -1,5 +1,7 @@
 """Testing, tracing, quarantine mechanics, and the substream discipline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,41 @@ class TestTracing:
         run_tracing(sim, 1.0, np.array([0]))
         sim.day = 40  # all windows expired
         assert run_tracing(sim, 1.0, np.array([0])) == 3
+
+    def test_community_contacts_traced_from_both_pair_directions(self):
+        sim = make_sim(pop_size=200, seed=3)
+        diagnosed = np.array([3, 17])
+        sim.prev_community_src = np.array([3, 50, 60, 17, 70])
+        sim.prev_community_dst = np.array([40, 3, 61, 80, 17])
+        expected = {40, 50, 70, 80}
+        for layer in sim.pop.layers.values():
+            for agent in diagnosed:
+                expected |= set(layer.dst[layer.src == agent].tolist())
+        new_q = run_tracing(sim, 1.0, diagnosed)
+        assert new_q == len(expected)
+        assert set(np.flatnonzero(sim.state.quarantine_start >= 0).tolist()) == expected
+
+    def test_tracing_matches_brute_force_reference(self):
+        sim = make_sim(pop_size=300, seed=4)
+        rng = np.random.default_rng(11)
+        sim.prev_community_src = rng.integers(0, 300, size=600)
+        sim.prev_community_dst = rng.integers(0, 300, size=600)
+        diagnosed = np.sort(rng.choice(300, size=12, replace=False))
+        from_src = np.isin(sim.prev_community_src, diagnosed)
+        from_dst = np.isin(sim.prev_community_dst, diagnosed)
+        assert from_src.any() and from_dst.any()
+
+        # Candidates by layer, diagnosed agent and edge, then both pair directions.
+        chunks = [layer.dst[layer.src == agent] for layer in sim.pop.layers.values() for agent in diagnosed]
+        chunks += [sim.prev_community_dst[from_src], sim.prev_community_src[from_dst]]
+        candidates = np.concatenate(chunks)
+        stream = copy.deepcopy(sim.streams["tracing"])
+        identified = np.unique(candidates[stream.random(len(candidates)) < 0.5])
+
+        new_q = run_tracing(sim, 0.5, diagnosed)
+        assert new_q == len(identified) > 0
+        np.testing.assert_array_equal(np.flatnonzero(sim.state.quarantine_start >= 0), identified)
+        assert sim.streams["tracing"].bit_generator.state == stream.bit_generator.state
 
     def test_cq_counts_distinct_entries(self, small_cfg):
         policy = lambda day, counts: Action(1.0, 0.75, 0.75)

@@ -5,7 +5,7 @@ import pytest
 
 from epictrl.config import PopulationConfig
 from epictrl.errors import ConfigurationError
-from epictrl.population import synthesize_population
+from epictrl.population import _group_members, synthesize_population
 from epictrl.rng import substream
 
 
@@ -89,6 +89,56 @@ def test_neighbors_of_round_trip():
         neighbors = hh.neighbors_of(agent)
         same_house = np.nonzero(pop.household_id == pop.household_id[agent])[0]
         assert set(neighbors.tolist()) == set(same_house.tolist()) - {agent}
+
+
+def _scan_edges(layer, ids):
+    """Edge indices leaving each id in turn, found by scanning all of src."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [np.flatnonzero(layer.src == i) for i in ids])
+
+
+def test_row_index_matches_edge_list():
+    cfg = PopulationConfig(pop_size=600, total_pop=600)
+    pop = build(cfg)
+    for layer in pop.layers.values():
+        assert len(layer.indptr) == cfg.pop_size + 1
+        assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.src)
+        for agent in range(cfg.pop_size):
+            np.testing.assert_array_equal(layer.neighbors_of(agent), layer.dst[layer.src == agent])
+
+
+def test_edges_from_matches_per_agent_scan():
+    cfg = PopulationConfig(pop_size=600, total_pop=600)
+    pop = build(cfg)
+    rng = np.random.default_rng(3)
+    not_in_school = np.flatnonzero(pop.school_id < 0)[:7]
+    not_working = np.flatnonzero(pop.work_id < 0)[:7]
+    id_sets = [
+        np.empty(0, dtype=np.int64),
+        np.arange(cfg.pop_size),
+        rng.integers(0, cfg.pop_size, size=80),  # unsorted, with repeats
+        [5, 5, 5],
+        not_in_school,
+        not_working,
+        np.concatenate([not_in_school, [11], not_working, [11]]),
+    ]
+    for layer in pop.layers.values():
+        for ids in id_sets:
+            edges = layer.edges_from(ids)
+            np.testing.assert_array_equal(edges, _scan_edges(layer, ids))
+            contacts = [layer.dst[layer.src == i] for i in ids]
+            np.testing.assert_array_equal(layer.dst[edges], np.concatenate([np.empty(0, dtype=np.int64)] + contacts))
+    assert len(not_in_school) and not len(pop.layers["school"].edges_from(not_in_school))
+    assert len(not_working) and not len(pop.layers["work"].edges_from(not_working))
+
+
+def test_group_members_keep_member_order():
+    rng = np.random.default_rng(0)
+    ids = rng.permutation(60)
+    group_of = rng.integers(0, 9, size=60)
+    members = _group_members(ids, group_of)
+    assert list(members) == sorted(set(group_of.tolist()))
+    for g, got in members.items():
+        np.testing.assert_array_equal(got, ids[group_of == g])
 
 
 def test_invalid_configs_rejected():
