@@ -1,17 +1,27 @@
 """Committed fingerprints of whole simulation runs.
 
-Each case runs 133 ``step_day`` calls under one fixed action and hashes
-``repr`` of the DailyCounts series with SHA-256. The hashes were recorded
-before the simulator's hot paths were rewritten on the per-layer CSR index,
-so any change that moves a single random draw or count fails here, not only
-a change that makes two runs in one process disagree.
+Each case hashes ``repr`` of a run's output with SHA-256: the DailyCounts
+series of 133 ``step_day`` calls under one fixed action, of a schedule
+policy's episode with and without activation gating, the per-episode
+returns of short PPO and DQN training runs, and the trial losses of a small
+calibration search. The step_day hashes were recorded before the
+simulator's hot paths were rewritten on the per-layer CSR index, the others
+before episodes were driven through one runner, so any change that moves a
+single random draw or count fails here, not only a change that makes two
+runs in one process disagree.
 """
 
 import hashlib
 
 import pytest
 
-from epictrl import Action, FullConfig, NULL_ACTION, Simulation
+from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation
+from epictrl.agents import evaluate, train
+from epictrl.baselines import seven_work_seven_lockdown, uk_approximation_schedule
+from epictrl.calibration import CalibrationSpec, search
+from epictrl.simulator import run_simulation
+
+from tests.test_calibration import cheap_setup, synthetic_observed
 
 N_DAYS = 133
 ACTIONS = {"null": NULL_ACTION, "mixed": Action(0.75, 0.5, 0.5)}
@@ -36,16 +46,81 @@ FINGERPRINTS = {
 }
 
 
-@pytest.mark.parametrize("agents,seeded,action,seed", sorted(FINGERPRINTS))
-def test_series_fingerprint(agents, seeded, action, seed):
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def make_cfg(agents: int = 2000, seeded: int = 10) -> FullConfig:
     cfg = FullConfig()
     cfg.population.pop_size = agents
     cfg.population.total_pop = float(agents)
     cfg.population.pop_infected = float(seeded)
+    return cfg
+
+
+@pytest.mark.parametrize("agents,seeded,action,seed", sorted(FINGERPRINTS))
+def test_series_fingerprint(agents, seeded, action, seed):
+    cfg = make_cfg(agents, seeded)
     sim = Simulation(cfg.population, cfg.disease, cfg.interventions, seed)
     series = [sim.step_day(ACTIONS[action]) for _ in range(N_DAYS)]
 
     infected = agents - series[-1].S
     assert infected > INFECTED_FLOOR[action] * agents, "the epidemic did not take off"
-    digest = hashlib.sha256(repr(series).encode()).hexdigest()
-    assert digest == FINGERPRINTS[(agents, seeded, action, seed)]
+    assert digest(series) == FINGERPRINTS[(agents, seeded, action, seed)]
+
+
+SCHEDULES = {"7w7l": seven_work_seven_lockdown, "uk-approx": uk_approximation_schedule}
+
+# 2k agents, ten seeded, the schedule applied from day 0 (no gating).
+SCHEDULE_FINGERPRINTS = {
+    ("7w7l", 0): "994bfaa04f38fa48510cc033b3857352169f2d656f47043da89f6e1d561e4cd8",
+    ("7w7l", 1): "e53485fbe69ded034c70344be957b670af3094daee20c70365ba6e9556a54f91",
+    ("7w7l", 2): "193cd7103071031b064508bb61db3cce1567fd7492845a6d3da1773c3a5a009d",
+    ("uk-approx", 0): "56055000b06f3453a11291a92b2380e3d768355b036f1e19f9b8e960f1ae12a1",
+    ("uk-approx", 1): "b91893d40fede6d003e085b33058df80d97a1d445d80faf928e86156aa836991",
+    ("uk-approx", 2): "2c504b64262ed7c6be8836762f155b66b60b7d66412203271b6d0aff7f69ff6c",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(SCHEDULE_FINGERPRINTS))
+def test_ungated_schedule_fingerprint(name, seed):
+    cfg = make_cfg()
+    series = run_simulation(cfg.population, cfg.disease, cfg.interventions,
+                            policy=SCHEDULES[name](), n_days=N_DAYS, seed=seed)
+    assert digest(series) == SCHEDULE_FINGERPRINTS[(name, seed)]
+
+
+def test_gated_schedule_fingerprint():
+    # Gating holds 7w7l's lockdowns back until 50 diagnoses: 1216 agents get
+    # infected at seed 1, against 559 when the schedule applies from day 0.
+    episode = evaluate(seven_work_seven_lockdown(), EpidemicEnv(make_cfg()), [1])[0]
+    assert episode.cumulative_infections == 1216
+    assert digest(episode.series) == "c94229762ce883e19b3543996b425b2a75aca1d748be6232a7b29ea151941991"
+
+
+TRAINING_FINGERPRINTS = {
+    ("ppo", "continuous"): "736911c6a7948a190083521cc575d827c98860b9398a7b76e7bd1c131baf3c79",
+    ("dqn", "discrete"): "60e69572c68e6dd5d068f4b90b1c1f058b8714f44a29d75219b8ef2d9d7fdf3c",
+}
+
+
+@pytest.mark.parametrize("kind,space", sorted(TRAINING_FINGERPRINTS))
+def test_training_curve_fingerprint(kind, space):
+    cfg = make_cfg()
+    cfg.env.action_space_kind = space
+    cfg.ppo.n_steps = 38  # two PPO updates within the five episodes
+    result = train(lambda: EpidemicEnv(cfg), kind, space, cfg, total_episodes=5, seed=3)
+    assert digest([float(r) for r in result.curve]) == TRAINING_FINGERPRINTS[(kind, space)]
+
+
+def test_search_fingerprint():
+    pop_cfg, disease, ivs, days = cheap_setup()
+    observed = synthetic_observed(pop_cfg, disease, ivs, days)
+    spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
+                           trials=6, replications=2, seed=5)
+    result = search(spec, observed, pop_cfg, disease, ivs,
+                    policy=seven_work_seven_lockdown(), n_days=days)
+    losses = [t.replication_losses for t in result.trials]
+    assert digest(losses) == "4b340158aceaa75fadc26edcc03481bda1a7571bc491b91058dacfaf92b8c3eb"
