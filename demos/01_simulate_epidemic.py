@@ -5,18 +5,18 @@ parameters, and no interventions. Prints a condensed day table and writes
 the full series to uncontrolled.csv in the working directory.
 """
 
-from epictrl import FullConfig
-from epictrl.simulator import counts_to_csv, run_simulation
+from epictrl import EpidemicEnv, FullConfig
+from epictrl.baselines import null_policy
+from epictrl.env import evaluate
+from epictrl.simulator import counts_to_csv
 
 cfg = FullConfig()
 cfg.population.pop_size = 2000
 cfg.population.total_pop = 2000.0   # pop_scale 1: agent counts are people
 cfg.population.pop_infected = 10.0
 
-series = run_simulation(
-    cfg.population, cfg.disease, cfg.interventions,
-    policy=None, n_days=133, seed=42,
-)
+episode = evaluate(null_policy(), EpidemicEnv(cfg), [42])[0]  # 133 days
+series = episode.series
 
 print(f"{'day':>4} {'S':>6} {'E':>5} {'I':>5} {'R':>6} {'D':>4} {'new_inf':>8} {'diagnosed':>10}")
 for counts in series[::7]:
@@ -24,8 +24,7 @@ for counts in series[::7]:
           f"{counts.R:>6} {counts.D:>4} {counts.new_infections:>8} "
           f"{counts.cumulative_diagnoses:>10}")
 
-total_infected = series[0].E + series[0].I + sum(c.new_infections for c in series)
-print(f"\ncumulative infections: {total_infected} of {cfg.population.pop_size}")
+print(f"\ncumulative infections: {episode.cumulative_infections} of {cfg.population.pop_size}")
 print(f"deaths: {series[-1].D}")
 peak = max(series, key=lambda c: c.I)
 print(f"peak infectious: {peak.I} on day {peak.day}")

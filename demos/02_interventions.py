@@ -8,14 +8,16 @@ lockdown at a small fraction of the economic cost.
 
 import numpy as np
 
-from epictrl import Action, FullConfig
-from epictrl.rewards import daily_reward
-from epictrl.simulator import run_simulation
+from epictrl import Action, EpidemicEnv, FullConfig
+from epictrl.baselines import SchedulePolicy
+from epictrl.env import evaluate
 
 cfg = FullConfig()
 cfg.population.pop_size = 2000
 cfg.population.total_pop = 2000.0
 cfg.population.pop_infected = 10.0
+cfg.env.activation_threshold = 0  # apply each mix from day 0
+env = EpidemicEnv(cfg)
 
 STRATEGIES = {
     "nothing": Action(1.0, 0.0, 0.0),
@@ -26,20 +28,9 @@ STRATEGIES = {
 
 print(f"{'strategy':<14} {'infections':>11} {'deaths':>7} {'quarantined':>12} {'econ loss %':>12}")
 for name, action in STRATEGIES.items():
-    infections, deaths, quarantined, losses = [], [], [], []
-    for seed in (1, 2, 3):
-        series = run_simulation(
-            cfg.population, cfg.disease, cfg.interventions,
-            policy=lambda day, counts: action, n_days=133, seed=seed,
-        )
-        infections.append(series[0].E + sum(c.new_infections for c in series))
-        deaths.append(series[-1].D)
-        quarantined.append(series[-1].cumulative_quarantined)
-        day_losses = []
-        for c in series:
-            dr = daily_reward(c, action, cfg.rewards, cfg.population.pop_size)
-            base = cfg.rewards.mu1 * cfg.population.pop_size
-            day_losses.append(100.0 * (base - dr.r_e) / base)
-        losses.append(np.mean(day_losses))
-    print(f"{name:<14} {np.mean(infections):>11.0f} {np.mean(deaths):>7.1f} "
-          f"{np.mean(quarantined):>12.0f} {np.mean(losses):>12.2f}")
+    episodes = evaluate(SchedulePolicy(entries=((0, action),), name=name), env, [1, 2, 3])
+    infections = np.mean([ep.cumulative_infections for ep in episodes])
+    deaths = np.mean([ep.total_deaths for ep in episodes])
+    quarantined = np.mean([ep.series[-1].cumulative_quarantined for ep in episodes])
+    loss_pct = 100.0 * np.mean([ep.mean_economic_loss for ep in episodes])
+    print(f"{name:<14} {infections:>11.0f} {deaths:>7.1f} {quarantined:>12.0f} {loss_pct:>12.2f}")

@@ -10,7 +10,8 @@ lockdown.
 import numpy as np
 
 from epictrl import EpidemicEnv, FullConfig
-from epictrl.agents import evaluate, summarize, train
+from epictrl.agents import train
+from epictrl.env import evaluate, summarize
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
 
 cfg = FullConfig()

@@ -17,8 +17,9 @@ from epictrl.calibration import (
     ObservedSeries,
     search,
     sim_series_to_observed,
+    ungated_env,
 )
-from epictrl.simulator import run_simulation
+from epictrl.env import evaluate
 
 TRUE_BETA = 0.006
 TRUE_POP_INFECTED = 10.0
@@ -30,11 +31,10 @@ pop = dataclasses.replace(
 )
 policy = uk_approximation_schedule()
 
-replicas = []
-for rep in range(3):
-    run = run_simulation(pop, cfg.disease, cfg.interventions,
-                         policy=policy, n_days=100, seed=1000 + rep)
-    replicas.append(sim_series_to_observed(run, pop.pop_scale))
+# The schedule applies on its dates from day 0, as in the search itself.
+env = ungated_env(pop, cfg.disease, cfg.interventions, n_days=100)
+replicas = [sim_series_to_observed(ep.series, pop.pop_scale)
+            for ep in evaluate(policy, env, [1000, 1001, 1002])]
 observed = ObservedSeries(
     replicas[0].dates,
     np.mean([r.cum_confirmed for r in replicas], axis=0),

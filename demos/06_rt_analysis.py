@@ -7,9 +7,9 @@ force that crossing.
 """
 
 from epictrl import EpidemicEnv, FullConfig
-from epictrl.agents import evaluate
 from epictrl.analysis import estimate_rt
 from epictrl.baselines import null_policy, seven_work_seven_lockdown, uk_approximation_schedule
+from epictrl.env import evaluate
 
 cfg = FullConfig()
 cfg.population.pop_size = 2000
@@ -17,7 +17,7 @@ cfg.population.total_pop = 2000.0
 cfg.population.pop_infected = 10.0
 
 env = EpidemicEnv(cfg)
-duration = cfg.disease.mean_infectious_duration
+duration = cfg.disease.infectious_mean
 
 for name, policy in (
     ("none", null_policy()),

@@ -23,7 +23,7 @@ from .config import (
 )
 from .env import EpidemicEnv, decode_discrete, encode_discrete
 from .interventions import Action, NULL_ACTION
-from .simulator import DailyCounts, EpiState, Simulation, run_simulation
+from .simulator import DailyCounts, EpiState, Simulation
 
 __all__ = [
     "Action",
@@ -43,7 +43,6 @@ __all__ = [
     "decode_discrete",
     "encode_discrete",
     "load_config",
-    "run_simulation",
     "save_config",
     "__version__",
 ]

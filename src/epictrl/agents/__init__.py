@@ -5,14 +5,11 @@ from .networks import MLP, Adam
 from .ppo import PPOAgent, PPOPolicy, Rollout, clipped_surrogate, compute_gae
 from .replay import PrioritizedBuffer
 from .training import (
-    EvalEpisode,
     TrainResult,
     episode_seed,
-    evaluate,
     load_checkpoint,
     policy_from_checkpoint,
     save_checkpoint,
-    summarize,
     train,
 )
 
@@ -20,7 +17,6 @@ __all__ = [
     "Adam",
     "DQNAgent",
     "DQNPolicy",
-    "EvalEpisode",
     "MLP",
     "PPOAgent",
     "PPOPolicy",
@@ -30,10 +26,8 @@ __all__ = [
     "clipped_surrogate",
     "compute_gae",
     "episode_seed",
-    "evaluate",
     "load_checkpoint",
     "policy_from_checkpoint",
     "save_checkpoint",
-    "summarize",
     "train",
 ]

@@ -83,10 +83,6 @@ class MLP:
             raise ValueError(f"flat vector length {len(flat)} != parameter count {offset}")
 
 
-def flatten(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
-
-
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale grads in place so their joint L2 norm is at most max_norm."""
     total = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))

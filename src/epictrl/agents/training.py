@@ -1,4 +1,4 @@
-"""Training and evaluation loops, learning curves, and checkpoints.
+"""Training loop, learning curves, and checkpoints.
 
 Episode seeds derive deterministically from the master seed and the episode
 index, so a run resumed from a checkpoint sees exactly the episode seed
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import DqnConfig, FullConfig, PpoConfig
 from ..errors import ConfigurationError, ShapeError
-from ..rewards import economic_loss
+from ..interventions import N_DISCRETE_ACTIONS
 from .dqn import DQNAgent, DQNPolicy
 from .ppo import PPOAgent, PPOPolicy
 
@@ -29,8 +29,6 @@ def episode_seed(master_seed: int, episode_index: int) -> int:
 
 
 def _env_actions(env) -> int:
-    from ..interventions import N_DISCRETE_ACTIONS
-
     return int(getattr(env, "n_actions", N_DISCRETE_ACTIONS))
 
 
@@ -129,78 +127,6 @@ def train(
             agent, agent_kind, space_kind, seed, total_episodes, curve,
         )
     return TrainResult(agent=agent, curve=curve, episodes_trained=max(total_episodes, start_episode))
-
-
-@dataclass
-class EvalEpisode:
-    """Metrics from one deterministic evaluation episode."""
-
-    seed: int
-    total_return: float
-    cumulative_infections: int
-    total_deaths: int
-    mean_economic_loss: float
-    applied_actions: list = field(default_factory=list)
-    series: list = field(default_factory=list)  # DailyCounts per day
-    step_records: list = field(default_factory=list)
-
-
-def evaluate(policy, env, seeds: list[int], keep_traces: bool = False) -> list[EvalEpisode]:
-    """Run a policy deterministically on each seed and collect metrics.
-
-    Policies expose select_action(observation, day) and act greedily
-    (mode/argmax); stochastic exploration is off during evaluation.
-    """
-    from ..env import trace_record  # local import to avoid a cycle
-
-    results = []
-    weights = env.config.rewards
-    pop_size = env.pop_size
-    for seed in seeds:
-        obs = env.reset(seed)
-        done = False
-        day = 0
-        total_return = 0.0
-        losses: list[float] = []
-        actions = []
-        series = []
-        records = []
-        while not done:
-            action = policy.select_action(obs, day)
-            obs, reward, done, info = env.step(action)
-            total_return += reward
-            actions.append(info["applied_action"])
-            series.extend(info["week_counts"])
-            losses.extend(
-                economic_loss(r_e, weights, pop_size)
-                for r_e in info["reward_components"]["r_e_daily"]
-            )
-            if keep_traces:
-                records.append(trace_record(obs, reward, info))
-            day = info["day"]
-        results.append(
-            EvalEpisode(
-                seed=seed,
-                total_return=total_return,
-                cumulative_infections=int(env.sim.cum_infections),
-                total_deaths=series[-1].D,
-                mean_economic_loss=float(np.mean(losses)),
-                applied_actions=actions,
-                series=series,
-                step_records=records,
-            )
-        )
-    return results
-
-
-def summarize(episodes: list[EvalEpisode]) -> dict:
-    """Mean and standard deviation of the headline metrics across seeds."""
-    out = {}
-    for name in ("total_return", "cumulative_infections", "total_deaths", "mean_economic_loss"):
-        values = np.array([getattr(e, name) for e in episodes], dtype=np.float64)
-        out[f"{name}_mean"] = float(values.mean())
-        out[f"{name}_sd"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return out
 
 
 # -- checkpoints ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Post-hoc analysis: reproduction number, economic loss, strategy reports.
+"""Post-hoc analysis: reproduction number and strategy reports.
 
 The real-time reproduction number is estimated with a transparent ratio:
 window-smoothed daily new infections divided by the window-smoothed count
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtocolError
-from .rewards import economic_loss
 from .simulator import DailyCounts
 
 
@@ -92,12 +91,6 @@ def rt_to_csv(rt: RtSeries, path: str) -> None:
             writer.writerow([d, f"{v:.10g}"])
 
 
-def aggregate_economic_loss(daily_r_e, weights, pop_size: int) -> float:
-    """Mean daily economic loss over an episode trace, as a percentage."""
-    losses = [economic_loss(r_e, weights, pop_size) for r_e in daily_r_e]
-    return float(np.mean(losses)) * 100.0
-
-
 @dataclass
 class StrategyMetrics:
     """Aggregated evaluation metrics for one strategy over a seed set."""
@@ -139,7 +132,7 @@ def strategy_metrics_from_eval(
     rt_window: int = 7,
     min_infectious: float = 5.0,
 ) -> StrategyMetrics:
-    """Build comparison metrics from agents.evaluate output."""
+    """Build comparison metrics from env.evaluate output."""
     cross_days = []
     for ep in episodes:
         rt, smoothed = estimate_rt(ep.series, mean_infectious_duration, rt_window)

@@ -102,7 +102,6 @@ def _parse_schedule(fh) -> list[tuple[int, Action]]:
             action = Action(float(row["ch_beta"]), float(row["ch_tp"]), float(row["ch_ctp"]))
         except (TypeError, ValueError) as exc:
             raise ScheduleParseError(f"bad schedule row {row}: {exc}") from exc
-        action.validate_physical()
         if entries and day <= entries[-1][0]:
             raise ScheduleParseError(f"schedule days must be strictly increasing, got {day} after {entries[-1][0]}")
         entries.append((day, action))

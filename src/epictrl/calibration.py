@@ -19,9 +19,11 @@ from datetime import date, timedelta
 import numpy as np
 from scipy.stats import qmc
 
-from .config import DiseaseConfig, InterventionConfig, PopulationConfig
+from .baselines import null_policy
+from .config import DiseaseConfig, EnvConfig, FullConfig, InterventionConfig, PopulationConfig
+from .env import EpidemicEnv, evaluate
 from .errors import AlignmentError, ConfigurationError, ScheduleParseError, SearchError
-from .simulator import DailyCounts, run_simulation
+from .simulator import DailyCounts
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +125,18 @@ class SearchResult:
     trials: list[Trial]
 
 
+def ungated_env(
+    pop_cfg: PopulationConfig,
+    disease_cfg: DiseaseConfig,
+    int_cfg: InterventionConfig,
+    n_days: int,
+) -> EpidemicEnv:
+    """An n_days episode environment that applies every action from day 0."""
+    # A dated real-world schedule applies on its dates, whatever the diagnoses.
+    env_cfg = EnvConfig(episode_days=n_days, activation_threshold=0)
+    return EpidemicEnv(FullConfig(pop_cfg, disease_cfg, int_cfg, env=env_cfg))
+
+
 def sim_series_to_observed(
     series: list[DailyCounts],
     pop_scale: float,
@@ -181,15 +195,17 @@ def search(
     pop_cfg: PopulationConfig,
     disease_cfg: DiseaseConfig,
     int_cfg: InterventionConfig,
-    policy=None,
+    policy=null_policy(),
     n_days: int | None = None,
 ) -> SearchResult:
     """Two-phase search for (pop_infected, beta_initial).
 
     Phase one evaluates a Sobol design over the box (global_fraction of the
     trials); phase two perturbs the incumbent with Gaussian steps scaled to
-    local_scale of each range width. Failed trials are logged and skipped;
-    a run where every trial fails raises SearchError.
+    local_scale of each range width. Every trial runs the policy from day 0
+    on n_days-day episodes (see ungated_env). Trials whose parameters make
+    an invalid configuration are logged and skipped; a run where every
+    trial fails raises SearchError. Any other error propagates.
     """
     spec.validate()
     if n_days is None:
@@ -245,20 +261,22 @@ def _evaluate_trial(
     n_days: int,
 ) -> Trial:
     cfg = dataclasses.replace(pop_cfg, pop_infected=pop_infected, beta_initial=beta_initial)
-    losses: list[float] = []
-    for rep in range(spec.replications):
-        rep_seed = int(np.random.SeedSequence((spec.seed, index, rep)).generate_state(1)[0])
-        try:
-            series = run_simulation(cfg, disease_cfg, int_cfg, policy=policy, n_days=n_days, seed=rep_seed)
-            sim_obs = sim_series_to_observed(series, cfg.pop_scale, spec.start_date)
-            losses.append(
-                calibration_loss(sim_obs, observed, spec.case_weight, spec.death_weight)
-            )
-        except AlignmentError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the search
-            logger.warning("trial %d replication %d failed: %s", index, rep, exc)
-            return Trial(index, pop_infected, beta_initial, float("inf"), losses, failed=True)
+    seeds = [
+        int(np.random.SeedSequence((spec.seed, index, rep)).generate_state(1)[0])
+        for rep in range(spec.replications)
+    ]
+    try:
+        episodes = evaluate(policy, ungated_env(cfg, disease_cfg, int_cfg, n_days), seeds)
+    except ConfigurationError as exc:
+        logger.warning("trial %d failed: %s", index, exc)
+        return Trial(index, pop_infected, beta_initial, float("inf"), failed=True)
+    losses = [
+        calibration_loss(
+            sim_series_to_observed(ep.series, cfg.pop_scale, spec.start_date),
+            observed, spec.case_weight, spec.death_weight,
+        )
+        for ep in episodes
+    ]
     return Trial(index, pop_infected, beta_initial, float(np.mean(losses)), losses)
 
 

@@ -11,6 +11,7 @@ for byte. A manifest file can itself be passed to --config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,10 +19,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .agents import evaluate, policy_from_checkpoint, summarize, train
+from .agents import policy_from_checkpoint, train
 from .analysis import (
     compare_strategies,
     estimate_rt,
@@ -34,16 +34,15 @@ from .baselines import null_policy, real_world_schedule, seven_work_seven_lockdo
 from .calibration import (
     CalibrationSpec,
     observed_from_csv,
-    observed_to_csv,
     search,
     sim_series_to_observed,
     trial_log_to_csv,
+    ungated_env,
 )
 from .config import FullConfig, apply_overrides, load_config
-from .env import EpidemicEnv, write_trace
+from .env import EpidemicEnv, evaluate, summarize, write_trace
 from .errors import EpictrlError
-from .rewards import daily_reward
-from .simulator import counts_to_csv, run_simulation
+from .simulator import counts_to_csv
 
 CONFIG_ENV_VAR = "EPICTRL_CONFIG"
 USAGE_EXIT = 2
@@ -126,22 +125,10 @@ def resolve_config(args) -> FullConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path is not None and not Path(path).is_file():
         raise UsageError(f"config file not found: {path}")
-    cfg = _load_config_any(path)
+    cfg = load_config(path)
     apply_overrides(cfg, args.overrides)
     cfg.validate()
     return cfg
-
-
-def _load_config_any(path: str | None) -> FullConfig:
-    if path is None:
-        return FullConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must contain a mapping")
-    if "resolved_config" in data:  # manifest round-trip
-        data = data["resolved_config"]
-    return FullConfig.from_dict(data)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -220,56 +207,25 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     spec = args.policy
     inputs = [p for p in [args.config] if p] + _policy_file_inputs(spec)
-    policy = load_policy(spec, cfg) if spec != "none" else None
+    policy = load_policy(spec, cfg)
     out = write_manifest(args, cfg, args.seed, inputs, {"policy": spec})
 
-    n_days = cfg.env.episode_days
-    if spec.startswith("checkpoint:"):
-        env = EpidemicEnv(cfg)
-        episodes = evaluate(policy, env, [args.seed])
-        series = episodes[0].series
-        applied = _expand_actions(episodes[0].applied_actions, cfg.env.step_days, n_days)
-    else:
-        series = run_simulation(
-            cfg.population, cfg.disease, cfg.interventions,
-            policy=policy, n_days=n_days, seed=args.seed, decision_days=cfg.env.step_days,
-        )
-        lookup = policy.action_at if policy is not None else (lambda d: null_policy().action_at(d))
-        applied = [lookup(_block_start(d, cfg.env.step_days)) for d in range(n_days)]
-
-    counts_to_csv(series, str(out / "daily_counts.csv"))
-    losses = []
-    for counts, action in zip(series, applied):
-        dr = daily_reward(counts, action, cfg.rewards, cfg.population.pop_size)
-        losses.append(100.0 * (cfg.rewards.mu1 * cfg.population.pop_size - dr.r_e)
-                      / (cfg.rewards.mu1 * cfg.population.pop_size))
-    last = series[-1]
+    episode = evaluate(policy, EpidemicEnv(cfg), [args.seed])[0]
+    counts_to_csv(episode.series, str(out / "daily_counts.csv"))
     summary = {
         "manifest": "manifest.json",
         "policy": spec,
         "seed": args.seed,
-        "days": n_days,
-        # Removal is absorbing, so everyone ever infected is in E+I+R+D.
-        "cumulative_infections": last.E + last.I + last.R + last.D,
-        "total_deaths": last.D,
-        "mean_economic_loss_pct": float(np.mean(losses)),
+        "days": cfg.env.episode_days,
+        "cumulative_infections": episode.cumulative_infections,
+        "total_deaths": episode.total_deaths,
+        "mean_economic_loss_pct": 100.0 * episode.mean_economic_loss,
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {out / 'daily_counts.csv'}")
     return 0
-
-
-def _block_start(day: int, step_days: int) -> int:
-    return (day // step_days) * step_days
-
-
-def _expand_actions(step_actions, step_days: int, n_days: int):
-    out = []
-    for i in range(n_days):
-        out.append(step_actions[min(i // step_days, len(step_actions) - 1)])
-    return out
 
 
 def _policy_file_inputs(spec: str) -> list[str]:
@@ -309,8 +265,9 @@ def cmd_calibrate(args) -> int:
         "pop_infected_range": [pi_lo, pi_hi], "beta_range": [b_lo, b_hi],
     })
 
+    n_days = min(len(observed), cfg.env.episode_days)
     result = search(spec, observed, cfg.population, cfg.disease, cfg.interventions,
-                    policy=policy, n_days=min(len(observed), cfg.env.episode_days))
+                    policy=policy, n_days=n_days)
     trial_log_to_csv(result.trials, str(out / "trial_log.csv"))
 
     with open(out / "best_params.yaml", "w", encoding="utf-8") as fh:
@@ -319,13 +276,11 @@ def cmd_calibrate(args) -> int:
         fh.write(f"  pop_infected: {result.best_pop_infected:.8g}\n")
         fh.write(f"  beta_initial: {result.best_beta_initial:.8g}\n")
 
-    import dataclasses as _dc
-
-    best_pop = _dc.replace(cfg.population, pop_infected=result.best_pop_infected,
-                           beta_initial=result.best_beta_initial)
+    best_pop = dataclasses.replace(cfg.population, pop_infected=result.best_pop_infected,
+                                   beta_initial=result.best_beta_initial)
     rep_seed = int(np.random.SeedSequence((args.seed, 0, 0)).generate_state(1)[0])
-    series = run_simulation(best_pop, cfg.disease, cfg.interventions, policy=policy,
-                            n_days=min(len(observed), cfg.env.episode_days), seed=rep_seed)
+    env = ungated_env(best_pop, cfg.disease, cfg.interventions, n_days)
+    series = evaluate(policy, env, [rep_seed])[0].series
     fitted = sim_series_to_observed(series, best_pop.pop_scale, spec.start_date)
     with open(out / "fit_comparison.csv", "w", encoding="utf-8") as fh:
         fh.write("date,obs_confirmed,sim_confirmed,obs_deaths,sim_deaths\n")
@@ -415,7 +370,7 @@ def cmd_compare(args) -> int:
     out = write_manifest(args, cfg, seeds, inputs, {"policies": args.policies})
 
     env = EpidemicEnv(cfg)
-    duration = cfg.disease.mean_infectious_duration
+    duration = cfg.disease.infectious_mean
     metric_sets = []
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)

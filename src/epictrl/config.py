@@ -107,10 +107,6 @@ class DiseaseConfig:
             if any(not 0.0 <= p <= 1.0 for p in probs):
                 raise ConfigurationError(f"{name} entries must be in [0, 1]")
 
-    @property
-    def mean_infectious_duration(self) -> float:
-        return self.infectious_mean
-
 
 @dataclass
 class InterventionConfig:
@@ -344,18 +340,21 @@ def _coerce_bool(value: Any, key: str) -> bool:
 
 
 def load_config(path: str | None = None) -> FullConfig:
-    """Load a FullConfig from a YAML file; defaults when path is None."""
+    """Load a FullConfig from a YAML file or a CLI manifest; defaults when path is None.
+
+    A manifest's resolved_config is unwrapped, so a run's manifest.json can
+    be passed back as its config. The result is not validated: callers
+    validate once, after any overrides.
+    """
     if path is None:
         return FullConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
+        data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must contain a mapping")
-    cfg = FullConfig.from_dict(data)
-    cfg.validate()
-    return cfg
+    if "resolved_config" in data:
+        data = data["resolved_config"]
+    return FullConfig.from_dict(data)
 
 
 def save_config(cfg: FullConfig, path: str) -> None:

@@ -10,15 +10,19 @@ Actions only take effect once the epidemic is visible: while cumulative
 diagnoses are below the activation threshold the applied action is forced
 to the null triple (no lockdown, no testing, no tracing) regardless of the
 input. Schedule policies are allowed outside the agents' continuous box
-(e.g. deeper lockdowns), so the environment validates actions against their
-physical [0, 1] domains in continuous mode and against the discrete grid in
-discrete mode.
+(e.g. deeper lockdowns); every Action already lies in its physical [0, 1]
+domain, so the environment checks only the discrete grid in discrete mode.
+An activation threshold of 0 applies every action from day 0.
+
+evaluate() is the one episode loop: every policy is an object with
+select_action(observation, day), and simulate, evaluate, compare and
+calibration runs all go through it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,10 +34,18 @@ from .interventions import (
     decode_discrete,
     encode_discrete,
 )
-from .rewards import action_penalty, daily_reward
+from .rewards import action_penalty, daily_reward, economic_loss
 from .simulator import DailyCounts, Simulation
 
-__all__ = ["EpidemicEnv", "encode_discrete", "decode_discrete", "OBSERVATION_FIELDS"]
+__all__ = [
+    "EpidemicEnv",
+    "EvalEpisode",
+    "OBSERVATION_FIELDS",
+    "decode_discrete",
+    "encode_discrete",
+    "evaluate",
+    "summarize",
+]
 
 OBSERVATION_FIELDS = ("S", "E", "I", "R", "D", "cumulative_tests", "cumulative_quarantined", "cumulative_diagnoses")
 
@@ -145,7 +157,7 @@ class EpidemicEnv:
             raise ActionDomainError(f"discrete mode expects an index or grid Action, got {type(action)}")
         if not isinstance(action, Action):
             raise ActionDomainError(f"continuous mode expects an Action, got {type(action)}")
-        return action.validate_physical()
+        return action
 
     def _cumulative_diagnoses(self) -> int:
         return 0 if self.sim is None else self.sim.cum_diagnoses
@@ -162,6 +174,72 @@ class EpidemicEnv:
         if self.env_cfg.observation_normalization:
             obs = obs / self.pop_size
         return obs
+
+
+@dataclass
+class EvalEpisode:
+    """Metrics from one deterministic evaluation episode."""
+
+    seed: int
+    total_return: float
+    cumulative_infections: int
+    total_deaths: int
+    mean_economic_loss: float
+    series: list = field(default_factory=list)  # DailyCounts per day
+    step_records: list = field(default_factory=list)
+
+
+def evaluate(policy, env, seeds: list[int], keep_traces: bool = False) -> list[EvalEpisode]:
+    """Run a policy deterministically on each seed and collect metrics.
+
+    Policies expose select_action(observation, day) and act greedily
+    (mode/argmax); stochastic exploration is off during evaluation.
+    """
+    results = []
+    weights = env.config.rewards
+    pop_size = env.pop_size
+    for seed in seeds:
+        obs = env.reset(seed)
+        done = False
+        day = 0
+        total_return = 0.0
+        losses: list[float] = []
+        series = []
+        records = []
+        while not done:
+            action = policy.select_action(obs, day)
+            obs, reward, done, info = env.step(action)
+            total_return += reward
+            series.extend(info["week_counts"])
+            losses.extend(
+                economic_loss(r_e, weights, pop_size)
+                for r_e in info["reward_components"]["r_e_daily"]
+            )
+            if keep_traces:
+                records.append(trace_record(obs, reward, info))
+            day = info["day"]
+        results.append(
+            EvalEpisode(
+                seed=seed,
+                total_return=total_return,
+                cumulative_infections=int(env.sim.cum_infections),
+                total_deaths=series[-1].D,
+                mean_economic_loss=float(np.mean(losses)),
+                series=series,
+                step_records=records,
+            )
+        )
+    return results
+
+
+def summarize(episodes: list[EvalEpisode]) -> dict:
+    """Mean and standard deviation of the headline metrics across seeds."""
+    out = {}
+    for name in ("total_return", "cumulative_infections", "total_deaths", "mean_economic_loss"):
+        values = np.array([getattr(e, name) for e in episodes], dtype=np.float64)
+        out[f"{name}_mean"] = float(values.mean())
+        out[f"{name}_sd"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    return out
 
 
 def write_trace(path: str, records: list[dict]) -> None:

@@ -6,6 +6,8 @@ per-contact tracing probability (ch_ctp). The learning agents use either the
 continuous boxes (ch_beta in [0.5, 1], probabilities in [0, 1]) or the 4x4x4
 discrete grid; schedule policies may use any physically meaningful value
 (ch_beta in [0, 1]), which is deliberately wider than the agents' box.
+Every Action is checked against that physical domain when it is made, so
+the mechanics below take its components as given.
 
 The mechanics functions mutate a running simulator instance in place and
 return the day's counters. Each mechanism draws only from its own named
@@ -42,12 +44,11 @@ class Action:
     def as_array(self) -> np.ndarray:
         return np.array([self.ch_beta, self.ch_tp, self.ch_ctp], dtype=np.float64)
 
-    def validate_physical(self) -> "Action":
+    def __post_init__(self):
         """Check each component against its physical domain ([0, 1])."""
         for name, v in (("ch_beta", self.ch_beta), ("ch_tp", self.ch_tp), ("ch_ctp", self.ch_ctp)):
             if not (0.0 <= v <= 1.0) or v != v:
                 raise ActionDomainError(f"{name}={v} outside [0, 1]")
-        return self
 
     def validate_discrete(self) -> "Action":
         """Check that each component is one of its four discrete levels."""
@@ -89,8 +90,6 @@ def decode_discrete(action: Action) -> int:
 
 def apply_lockdown(ch_beta: float, beta_initial: float) -> float:
     """Effective per-contact transmission probability under lockdown."""
-    if not (0.0 <= ch_beta <= 1.0):
-        raise ActionDomainError(f"ch_beta={ch_beta} outside [0, 1]")
     return beta_initial * ch_beta
 
 
@@ -108,8 +107,6 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
     Returns:
         (new_tests, new_detections) administered today.
     """
-    if not (0.0 <= ch_tp <= 1.0):
-        raise ActionDomainError(f"ch_tp={ch_tp} outside [0, 1]")
     cfg: InterventionConfig = sim.int_cfg
     day = sim.day
     st = sim.state
@@ -183,8 +180,6 @@ def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
     Returns:
         Number of distinct new quarantine entries scheduled today.
     """
-    if not (0.0 <= ch_ctp <= 1.0):
-        raise ActionDomainError(f"ch_ctp={ch_ctp} outside [0, 1]")
     if ch_ctp == 0.0 or not len(diagnosed_today):
         return 0
     cfg: InterventionConfig = sim.int_cfg

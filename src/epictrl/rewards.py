@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import RewardWeights
-from .errors import ProtocolError
 from .interventions import Action
 from .simulator import DailyCounts
 
@@ -55,15 +54,13 @@ def economic_reward(
     return r_e, w.effective_scale(pop_size) * r_e / p
 
 
-def action_penalty(a_t: Action, a_prev: Action, space: str = "continuous") -> float:
+def action_penalty(a_t: Action, a_prev: Action) -> float:
     """Penalty for changing the action by more than the deadband.
 
     Per component with difference d: -100 * (d - 0.2) when d > 0.2, else 0;
-    the three componentwise penalties are summed. Only defined for the
-    continuous action space.
+    the three componentwise penalties are summed. The environment applies it
+    only in the continuous action space.
     """
-    if space != "continuous":
-        raise ProtocolError("action_penalty is only defined for the continuous action space")
     total = 0.0
     for curr, prev in zip(a_t.as_array(), a_prev.as_array()):
         d = abs(curr - prev)

@@ -28,7 +28,7 @@ import numpy as np
 from . import interventions as iv
 from .config import DiseaseConfig, InterventionConfig, PopulationConfig
 from .errors import ConfigurationError
-from .interventions import Action, NULL_ACTION
+from .interventions import Action
 from .population import Population, synthesize_population
 from .rng import all_substreams
 
@@ -249,7 +249,6 @@ class Simulation:
 
     def step_day(self, action: Action) -> DailyCounts:
         """Simulate one day under the given intervention triple."""
-        action.validate_physical()
         st = self.state
         day = self.day
 
@@ -450,40 +449,3 @@ class Simulation:
             **{k: int(v) for k, v in flows.items()},
         )
 
-
-def run_simulation(
-    pop_cfg: PopulationConfig,
-    disease_cfg: DiseaseConfig,
-    int_cfg: InterventionConfig,
-    policy=None,
-    n_days: int = 133,
-    seed: int = 0,
-    decision_days: int = 7,
-) -> list[DailyCounts]:
-    """Run a full simulation under a policy, without environment gating.
-
-    The policy is queried once per decision block (every decision_days days)
-    and may be None (no intervention), an object with ``action_at(day)``
-    (schedule policies), or a callable ``(day, last_counts) -> Action``.
-    ceil(n_days / decision_days) decisions are consumed in total. Identical
-    (configs, seed, policy) reproduce the series exactly.
-    """
-    sim = Simulation(pop_cfg, disease_cfg, int_cfg, seed)
-    series: list[DailyCounts] = []
-    current = NULL_ACTION
-    last: DailyCounts | None = None
-    for day in range(n_days):
-        if day % decision_days == 0:
-            current = _query_policy(policy, day, last)
-            current.validate_physical()
-        last = sim.step_day(current)
-        series.append(last)
-    return series
-
-
-def _query_policy(policy, day: int, last_counts: DailyCounts | None) -> Action:
-    if policy is None:
-        return NULL_ACTION
-    if hasattr(policy, "action_at"):
-        return policy.action_at(day)
-    return policy(day, last_counts)

@@ -1,0 +1,16 @@
+"""Whole-episode helpers for the tests; every run goes through env.evaluate."""
+
+from epictrl.baselines import SchedulePolicy, null_policy
+from epictrl.calibration import ungated_env
+from epictrl.env import evaluate
+
+
+def constant_policy(action) -> SchedulePolicy:
+    """The policy that applies one action on every day."""
+    return SchedulePolicy(entries=((0, action),), name="constant")
+
+
+def ungated_series(cfg, n_days: int, seed: int, policy=null_policy()) -> list:
+    """DailyCounts of one n_days episode, the policy applied from day 0."""
+    env = ungated_env(cfg.population, cfg.disease, cfg.interventions, n_days)
+    return evaluate(policy, env, [seed])[0].series

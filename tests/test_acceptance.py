@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from epictrl.agents import evaluate, train
+from epictrl.agents import train
 from epictrl.agents.ppo import PPOAgent, clipped_surrogate, compute_gae
 from epictrl.agents.replay import PrioritizedBuffer
 from epictrl.analysis import estimate_rt, strategy_metrics_from_eval
@@ -23,12 +23,13 @@ from epictrl.calibration import (
     _evaluate_trial,
     search,
     sim_series_to_observed,
+    ungated_env,
 )
 from epictrl.config import FullConfig, PpoConfig, RewardWeights
-from epictrl.env import EpidemicEnv, decode_discrete, encode_discrete
+from epictrl.env import EpidemicEnv, decode_discrete, encode_discrete, evaluate
 from epictrl.interventions import Action, NULL_ACTION
-from epictrl.simulator import counts_to_csv, run_simulation
 
+from tests.episodes import constant_policy, ungated_series
 from tests.test_agents_ppo import finite_difference_grads, gae_bruteforce, make_batch, tiny_agent
 from tests.test_rewards import _oracle, make_counts, random_tuple, rel_close
 
@@ -63,11 +64,10 @@ def test_criterion_1_conservation_and_determinism():
         cfg.interventions.symp_detection_prob = float(rng.uniform(0.0, 0.15))
         n_days = int(rng.integers(30, 70))
         seed = int(rng.integers(0, 2**31))
-        policy = (lambda day, counts: Action(0.8, 0.4, 0.4)) if case % 2 else None
+        policy = constant_policy(Action(0.8, 0.4, 0.4) if case % 2 else NULL_ACTION)
 
-        args = (cfg.population, cfg.disease, cfg.interventions)
-        a = run_simulation(*args, policy=policy, n_days=n_days, seed=seed)
-        b = run_simulation(*args, policy=policy, n_days=n_days, seed=seed)
+        a = ungated_series(cfg, n_days, seed, policy)
+        b = ungated_series(cfg, n_days, seed, policy)
 
         conserved = all(c.S + c.E + c.I + c.R + c.D == cfg.population.pop_size for c in a)
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -238,10 +238,9 @@ def test_criterion_6_calibration_recovery():
     n_days = 100
 
     replicas = []
-    for rep in range(3):
-        run = run_simulation(pop, cfg.disease, cfg.interventions, policy=policy,
-                             n_days=n_days, seed=1000 + rep)
-        replicas.append(sim_series_to_observed(run, pop.pop_scale))
+    env = ungated_env(pop, cfg.disease, cfg.interventions, n_days)
+    for episode in evaluate(policy, env, [1000, 1001, 1002]):
+        replicas.append(sim_series_to_observed(episode.series, pop.pop_scale))
     observed = ObservedSeries(
         replicas[0].dates,
         np.mean([r.cum_confirmed for r in replicas], axis=0),
@@ -293,7 +292,7 @@ def test_criterion_7_policy_vs_baseline_orderings(trained_ppo_policy):
     t0 = time.time()
     policy, cfg = trained_ppo_policy
     env = EpidemicEnv(cfg)
-    duration = cfg.disease.mean_infectious_duration
+    duration = cfg.disease.infectious_mean
 
     metrics = {}
     for name, pol in (
@@ -362,9 +361,10 @@ def test_criterion_9_rt_estimator_properties():
     cfg = acceptance_cfg()
 
     # Zero transmission: seeded agents become infectious but infect nobody.
-    zero_pop = dataclasses.replace(cfg.population, beta_initial=0.0)
-    series = run_simulation(zero_pop, cfg.disease, cfg.interventions, n_days=40, seed=3)
-    rt_zero, _ = estimate_rt(series, cfg.disease.mean_infectious_duration)
+    zero_cfg = acceptance_cfg()
+    zero_cfg.population.beta_initial = 0.0
+    series = ungated_series(zero_cfg, n_days=40, seed=3)
+    rt_zero, _ = estimate_rt(series, cfg.disease.infectious_mean)
     zero_ok = len(rt_zero.values) > 0 and all(v == 0.0 for v in rt_zero.values)
 
     # Engineered steady state: 10 new infections per day, 80 infectious, 8-day duration.
@@ -373,8 +373,8 @@ def test_criterion_9_rt_estimator_properties():
     steady_ok = all(abs(v - 1.0) <= 1e-9 for v in rt_steady.values)
 
     # Uncontrolled growth phase: at least 5 consecutive estimates above 1.
-    growth = run_simulation(cfg.population, cfg.disease, cfg.interventions, n_days=60, seed=3)
-    rt_growth, _ = estimate_rt(growth, cfg.disease.mean_infectious_duration)
+    growth = ungated_series(cfg, n_days=60, seed=3)
+    rt_growth, _ = estimate_rt(growth, cfg.disease.infectious_mean)
     best = run = 0
     for v in rt_growth.values:
         run = run + 1 if v > 1.0 else 0

@@ -1,4 +1,4 @@
-"""R_t estimator properties, loss aggregation, and strategy comparison."""
+"""R_t estimator properties and strategy comparison."""
 
 import dataclasses
 
@@ -7,16 +7,15 @@ import pytest
 
 from epictrl.analysis import (
     RtSeries,
-    aggregate_economic_loss,
     compare_strategies,
     estimate_rt,
     report_to_csv,
     report_to_text,
     strategy_metrics_from_eval,
 )
-from epictrl.agents.training import EvalEpisode
-from epictrl.config import RewardWeights
+from epictrl.env import EvalEpisode
 from epictrl.errors import ProtocolError
+from tests.episodes import ungated_series
 from tests.test_rewards import make_counts
 
 
@@ -67,13 +66,8 @@ class TestEstimateRt:
         np.testing.assert_allclose(rt_a.values, rt_b.values, rtol=1e-12)
 
     def test_growth_phase_exceeds_one(self, small_cfg):
-        from epictrl.simulator import run_simulation
-
-        series = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            n_days=60, seed=2,
-        )
-        rt, smoothed = estimate_rt(series, small_cfg.disease.mean_infectious_duration)
+        series = ungated_series(small_cfg, n_days=60, seed=2)
+        rt, smoothed = estimate_rt(series, small_cfg.disease.infectious_mean)
         strong = [v for v, s in zip(rt.values, smoothed) if s >= 5.0]
         runs = 0
         best = 0
@@ -99,18 +93,6 @@ class TestEstimateRt:
     def test_crossing_none_when_always_above(self):
         rt = RtSeries(days=[0, 1, 2], values=[1.5, 2.0, 3.0])
         assert rt.first_below_one(min_infectious=0.0) is None
-
-
-class TestAggregateEconomicLoss:
-    def test_null_trace_is_exactly_zero(self):
-        w = RewardWeights()
-        daily_r_e = [w.mu1 * 2000.0] * 50
-        assert aggregate_economic_loss(daily_r_e, w, 2000) == 0.0
-
-    def test_constant_loss_matches_published_scale(self):
-        w = RewardWeights(mu1=1.0)
-        daily_r_e = [6199.0] * 30
-        assert aggregate_economic_loss(daily_r_e, w, 10_000) == pytest.approx(38.01)
 
 
 def fake_episode(seed, infections, deaths, loss, returns, series):

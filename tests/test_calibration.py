@@ -14,8 +14,11 @@ from epictrl.calibration import (
     search,
     sim_series_to_observed,
     trial_log_to_csv,
+    ungated_env,
 )
+from epictrl.baselines import null_policy
 from epictrl.config import DiseaseConfig, InterventionConfig, PopulationConfig
+from epictrl.env import evaluate
 from epictrl.errors import AlignmentError, ScheduleParseError
 
 
@@ -89,9 +92,7 @@ def cheap_setup(beta=0.08, pop=300, days=40):
 
 
 def synthetic_observed(pop_cfg, disease, ivs, days, seed=123):
-    from epictrl.simulator import run_simulation
-
-    run = run_simulation(pop_cfg, disease, ivs, n_days=days, seed=seed)
+    run = evaluate(null_policy(), ungated_env(pop_cfg, disease, ivs, days), [seed])[0].series
     return sim_series_to_observed(run, pop_cfg.pop_scale)
 
 
@@ -165,6 +166,19 @@ class TestSearch:
         assert any(t.failed for t in result.trials)
         assert any(not t.failed for t in result.trials)
         assert np.isfinite(result.best_loss)
+
+    def test_policy_programming_error_fails_the_search(self):
+        pop_cfg, disease, ivs, days = cheap_setup()
+        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
+                               trials=2, replications=1, seed=5)
+
+        class Broken:
+            def select_action(self, observation, day):
+                raise TypeError("select_action() is broken")
+
+        with pytest.raises(TypeError):
+            search(spec, observed, pop_cfg, disease, ivs, policy=Broken())
 
     def test_trial_log_csv(self, tmp_path):
         pop_cfg, disease, ivs, days = cheap_setup()

@@ -1,11 +1,14 @@
 """End-to-end CLI: manifests, reproducibility, and every subcommand."""
 
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from epictrl.cli import main, parse_seeds
+from epictrl.simulator import counts_from_csv
 
 BASE_OVERRIDES = [
     "--set", "population.pop_size=400",
@@ -63,6 +66,28 @@ class TestSimulate:
         code = run_cli("simulate", "--out", out, "--seed", 3,
                        "--policy", "schedule:7w7l", *BASE_OVERRIDES)
         assert code == 0
+
+    def test_no_intervention_daily_counts_fingerprint(self, tmp_path):
+        # SHA-256 of the file written before simulate ran through env.evaluate.
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--out", out, "--seed", 3, *BASE_OVERRIDES) == 0
+        digest = hashlib.sha256((out / "daily_counts.csv").read_bytes()).hexdigest()
+        assert digest == "c0e2d6ed671bada7cda9468661e38c9b3b2a4555b0b71c062c58e056672187c7"
+
+    @pytest.mark.parametrize("policy", ["none", "schedule:7w7l", "schedule:uk-approx"])
+    def test_simulate_and_evaluate_write_the_same_series(self, tmp_path, policy):
+        sim_out, eval_out = tmp_path / "sim", tmp_path / "eval"
+        assert run_cli("simulate", "--out", sim_out, "--seed", 3, "--policy", policy, *BASE_OVERRIDES) == 0
+        assert run_cli("evaluate", "--out", eval_out, "--seeds", 3, "--policy", policy, *BASE_OVERRIDES) == 0
+        simulated = [asdict(c) for c in counts_from_csv(str(sim_out / "daily_counts.csv"))]
+        records = [json.loads(line) for line in (eval_out / "trace_seed3.jsonl").read_text().splitlines()]
+        assert simulated == [day for record in records for day in record["week_counts"]]
+
+    def test_off_grid_schedule_in_discrete_mode_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("simulate", "--out", tmp_path / "run", "--policy", "schedule:7w7l",
+                       "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
+        assert code == 2
+        assert "not a discrete level" in capsys.readouterr().err
 
     def test_missing_policy_file_is_usage_error(self, tmp_path):
         out = tmp_path / "run"

@@ -16,11 +16,12 @@ import hashlib
 import pytest
 
 from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation
-from epictrl.agents import evaluate, train
+from epictrl.agents import train
 from epictrl.baselines import seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import CalibrationSpec, search
-from epictrl.simulator import run_simulation
+from epictrl.env import evaluate
 
+from tests.episodes import ungated_series
 from tests.test_calibration import cheap_setup, synthetic_observed
 
 N_DAYS = 133
@@ -86,9 +87,7 @@ SCHEDULE_FINGERPRINTS = {
 
 @pytest.mark.parametrize("name,seed", sorted(SCHEDULE_FINGERPRINTS))
 def test_ungated_schedule_fingerprint(name, seed):
-    cfg = make_cfg()
-    series = run_simulation(cfg.population, cfg.disease, cfg.interventions,
-                            policy=SCHEDULES[name](), n_days=N_DAYS, seed=seed)
+    series = ungated_series(make_cfg(), N_DAYS, seed, SCHEDULES[name]())
     assert digest(series) == SCHEDULE_FINGERPRINTS[(name, seed)]
 
 

@@ -16,7 +16,9 @@ from epictrl.interventions import (
     run_testing,
     run_tracing,
 )
-from epictrl.simulator import EpiState, Simulation, run_simulation
+from epictrl.simulator import EpiState, Simulation
+
+from tests.episodes import constant_policy, ungated_series
 
 
 def make_sim(pop_size=200, pop_infected=5, seed=1, int_cfg=None, **pop_kwargs) -> Simulation:
@@ -34,10 +36,13 @@ class TestLockdown:
         assert apply_lockdown(1.0, 0.005997) == 0.005997
 
     def test_out_of_domain(self):
+        # A lockdown level outside [0, 1] cannot be made into an Action.
         with pytest.raises(ActionDomainError):
-            apply_lockdown(1.2, 0.005997)
+            Action(1.2, 0.0, 0.0)
         with pytest.raises(ActionDomainError):
-            apply_lockdown(-0.1, 0.005997)
+            Action(-0.1, 0.0, 0.0)
+        with pytest.raises(ActionDomainError):
+            Action(float("nan"), 0.0, 0.0)
 
 
 class TestEncodeDecode:
@@ -211,28 +216,25 @@ class TestTracing:
         assert sim.streams["tracing"].bit_generator.state == stream.bit_generator.state
 
     def test_cq_counts_distinct_entries(self, small_cfg):
-        policy = lambda day, counts: Action(1.0, 0.75, 0.75)
-        series = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            policy=policy, n_days=80, seed=21,
-        )
+        policy = constant_policy(Action(1.0, 0.75, 0.75))
+        series = ungated_series(small_cfg, n_days=80, seed=21, policy=policy)
         assert series[-1].cumulative_quarantined == sum(c.new_quarantined for c in series)
         assert series[-1].cumulative_tests == sum(c.new_tests for c in series)
 
 
 class TestStreamDiscipline:
     def test_null_triple_equals_no_intervention_run(self, small_cfg):
-        args = (small_cfg.population, small_cfg.disease, small_cfg.interventions)
-        null_run = run_simulation(*args, policy=lambda d, c: NULL_ACTION, n_days=90, seed=31)
-        no_policy = run_simulation(*args, policy=None, n_days=90, seed=31)
-        assert null_run == no_policy
+        null_run = ungated_series(small_cfg, n_days=90, seed=31, policy=constant_policy(NULL_ACTION))
+        sim = Simulation(small_cfg.population, small_cfg.disease, small_cfg.interventions, seed=31)
+        no_intervention = [sim.step_day(NULL_ACTION) for _ in range(90)]
+        assert null_run == no_intervention
         assert null_run[-1].cumulative_tests == 0
         assert null_run[-1].cumulative_quarantined == 0
 
     def test_same_ch_beta_zero_testing_matches_no_intervention(self, small_cfg):
-        args = (small_cfg.population, small_cfg.disease, small_cfg.interventions)
-        locked_null = run_simulation(*args, policy=lambda d, c: Action(0.7, 0.0, 0.0), n_days=90, seed=31)
-        locked_ref = run_simulation(*args, policy=lambda d, c: Action(0.7, 0.0, 0.0), n_days=90, seed=31)
+        locked = constant_policy(Action(0.7, 0.0, 0.0))
+        locked_null = ungated_series(small_cfg, n_days=90, seed=31, policy=locked)
+        locked_ref = ungated_series(small_cfg, n_days=90, seed=31, policy=locked)
         assert locked_null == locked_ref
         assert locked_null[-1].cumulative_tests == 0
         assert locked_null[-1].cumulative_quarantined == 0
@@ -240,9 +242,8 @@ class TestStreamDiscipline:
     def test_disabling_tracing_does_not_perturb_testing_stream(self, small_cfg):
         # Testing-only run and testing-plus-tracing run must administer the
         # same tests on the days before tracing has any effect.
-        args = (small_cfg.population, small_cfg.disease, small_cfg.interventions)
-        test_only = run_simulation(*args, policy=lambda d, c: Action(1.0, 0.5, 0.0), n_days=12, seed=8)
-        test_trace = run_simulation(*args, policy=lambda d, c: Action(1.0, 0.5, 1.0), n_days=12, seed=8)
+        test_only = ungated_series(small_cfg, n_days=12, seed=8, policy=constant_policy(Action(1.0, 0.5, 0.0)))
+        test_trace = ungated_series(small_cfg, n_days=12, seed=8, policy=constant_policy(Action(1.0, 0.5, 1.0)))
         # Until the first diagnosis day there are no traced quarantines, so
         # the two runs agree exactly.
         first_diag = next((c.day for c in test_only if c.new_diagnoses), None)

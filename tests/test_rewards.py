@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epictrl.config import RewardWeights
-from epictrl.errors import ProtocolError
 from epictrl.interventions import Action
 from epictrl.rewards import (
     action_penalty,
@@ -108,11 +107,6 @@ class TestActionPenalty:
         a = Action(0.5, 0.0, 0.0)
         b = Action(1.0, 0.5, 0.1)  # d = (0.5, 0.5, 0.1)
         assert action_penalty(b, a) == pytest.approx(-30.0 - 30.0 + 0.0)
-
-    def test_discrete_mode_is_protocol_error(self):
-        a = Action(0.5, 0.0, 0.0)
-        with pytest.raises(ProtocolError):
-            action_penalty(a, a, space="discrete")
 
     @given(d=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     @settings(max_examples=60, deadline=None)

@@ -16,9 +16,10 @@ from epictrl.simulator import (
     Simulation,
     counts_from_csv,
     counts_to_csv,
-    run_simulation,
     seed_infections,
 )
+
+from tests.episodes import constant_policy, ungated_series
 
 
 def make_sim(pop_size=500, pop_infected=5, seed=1, **pop_kwargs) -> Simulation:
@@ -59,21 +60,15 @@ class TestSeeding:
 
 class TestConservationAndDeterminism:
     def test_conservation_every_day(self, small_cfg):
-        series = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            n_days=80, seed=3,
-        )
+        series = ungated_series(small_cfg, n_days=80, seed=3)
         for c in series:
             assert c.S + c.E + c.I + c.R + c.D == small_cfg.population.pop_size
             assert c.I == c.currently_infected - c.E
             assert c.cumulative_dead == c.D
 
     def test_monotone_cumulatives(self, small_cfg):
-        policy = lambda day, counts: Action(0.9, 0.5, 0.5)
-        series = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            policy=policy, n_days=80, seed=3,
-        )
+        policy = constant_policy(Action(0.9, 0.5, 0.5))
+        series = ungated_series(small_cfg, n_days=80, seed=3, policy=policy)
         for prev, curr in zip(series, series[1:]):
             assert curr.cumulative_tests >= prev.cumulative_tests
             assert curr.cumulative_quarantined >= prev.cumulative_quarantined
@@ -81,29 +76,25 @@ class TestConservationAndDeterminism:
             assert curr.D >= prev.D
 
     def test_identical_seed_bit_identical_series(self, small_cfg):
-        args = (small_cfg.population, small_cfg.disease, small_cfg.interventions)
-        a = run_simulation(*args, n_days=60, seed=11)
-        b = run_simulation(*args, n_days=60, seed=11)
+        a = ungated_series(small_cfg, n_days=60, seed=11)
+        b = ungated_series(small_cfg, n_days=60, seed=11)
         assert a == b
 
     def test_different_seed_differs(self, small_cfg):
-        args = (small_cfg.population, small_cfg.disease, small_cfg.interventions)
-        a = run_simulation(*args, n_days=60, seed=11)
-        b = run_simulation(*args, n_days=60, seed=12)
+        a = ungated_series(small_cfg, n_days=60, seed=11)
+        b = ungated_series(small_cfg, n_days=60, seed=12)
         assert a != b
 
     def test_returns_n_days_entries(self, tiny_cfg):
-        series = run_simulation(
-            tiny_cfg.population, tiny_cfg.disease, tiny_cfg.interventions, n_days=17, seed=0
-        )
+        series = ungated_series(tiny_cfg, n_days=17, seed=0)
         assert len(series) == 17
         assert [c.day for c in series] == list(range(17))
 
 
 class TestNullModels:
     def test_zero_beta_means_only_seeded_infections(self, tiny_cfg):
-        cfg = dataclasses.replace(tiny_cfg.population, beta_initial=0.0)
-        series = run_simulation(cfg, tiny_cfg.disease, tiny_cfg.interventions, n_days=60, seed=5)
+        tiny_cfg.population.beta_initial = 0.0
+        series = ungated_series(tiny_cfg, n_days=60, seed=5)
         assert sum(c.new_infections for c in series) == 0
         total_ever = series[-1].R + series[-1].D + series[-1].E + series[-1].I
         assert total_ever == 5  # exactly the seeded agents
@@ -205,10 +196,7 @@ class TestTransmissionOracles:
         assert abs(mean - p) < 3 * sigma
 
     def test_single_growth_phase_under_no_intervention(self, small_cfg):
-        series = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            n_days=133, seed=6,
-        )
+        series = ungated_series(small_cfg, n_days=133, seed=6)
         cum = np.cumsum([c.new_infections for c in series])
         saturation = int(np.searchsorted(cum, 0.99 * cum[-1]))
         # Weekly-strict growth until saturation.
@@ -239,32 +227,29 @@ class TestPolicyConsumption:
     def test_policy_decisions_consumed_per_block(self, tiny_cfg):
         calls = []
 
-        def policy(day, counts):
-            calls.append(day)
-            return NULL_ACTION
+        class Recorder:
+            def select_action(self, observation, day):
+                calls.append(day)
+                return NULL_ACTION
 
-        run_simulation(
-            tiny_cfg.population, tiny_cfg.disease, tiny_cfg.interventions,
-            policy=policy, n_days=133, seed=0, decision_days=7,
-        )
+        ungated_series(tiny_cfg, n_days=133, seed=0, policy=Recorder())
         assert len(calls) == 19  # ceil(133 / 7)
         assert calls == list(range(0, 133, 7))
 
     def test_out_of_domain_policy_action_propagates(self, tiny_cfg):
         from epictrl.errors import ActionDomainError
 
+        class OutOfDomain:
+            def select_action(self, observation, day):
+                return Action(1.5, 0.0, 0.0)
+
         with pytest.raises(ActionDomainError):
-            run_simulation(
-                tiny_cfg.population, tiny_cfg.disease, tiny_cfg.interventions,
-                policy=lambda day, counts: Action(1.5, 0.0, 0.0), n_days=10, seed=0,
-            )
+            ungated_series(tiny_cfg, n_days=10, seed=0, policy=OutOfDomain())
 
 
 class TestCsvRoundTrip:
     def test_counts_csv_round_trip(self, tiny_cfg, tmp_path):
-        series = run_simulation(
-            tiny_cfg.population, tiny_cfg.disease, tiny_cfg.interventions, n_days=25, seed=4
-        )
+        series = ungated_series(tiny_cfg, n_days=25, seed=4)
         path = tmp_path / "counts.csv"
         counts_to_csv(series, str(path))
         header = path.read_text().splitlines()[0]

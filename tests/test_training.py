@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from epictrl.agents import (
-    evaluate,
-    load_checkpoint,
-    policy_from_checkpoint,
-    save_checkpoint,
-    summarize,
-    train,
-)
+from epictrl.agents import load_checkpoint, policy_from_checkpoint, save_checkpoint, train
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
-from epictrl.config import FullConfig
-from epictrl.env import EpidemicEnv
+from epictrl.env import EpidemicEnv, evaluate, summarize
+from epictrl.interventions import NULL_ACTION
+from epictrl.simulator import Simulation
 
 
 @pytest.fixture
@@ -29,14 +23,10 @@ def fast_cfg(small_cfg):
 
 class TestEvaluate:
     def test_null_policy_equals_no_intervention_series(self, small_cfg):
-        from epictrl.simulator import run_simulation
-
         env = EpidemicEnv(small_cfg)
         episodes = evaluate(null_policy(), env, [5])
-        raw = run_simulation(
-            small_cfg.population, small_cfg.disease, small_cfg.interventions,
-            n_days=small_cfg.env.episode_days, seed=5,
-        )
+        sim = Simulation(small_cfg.population, small_cfg.disease, small_cfg.interventions, seed=5)
+        raw = [sim.step_day(NULL_ACTION) for _ in range(small_cfg.env.episode_days)]
         assert episodes[0].series == raw
 
     def test_evaluation_is_deterministic(self, small_cfg):
