@@ -16,7 +16,6 @@ import numpy as np
 
 from ..config import DqnConfig, FullConfig, PpoConfig
 from ..errors import ConfigurationError, ShapeError
-from ..interventions import N_DISCRETE_ACTIONS
 from .dqn import DQNAgent, DQNPolicy
 from .ppo import PPOAgent, PPOPolicy
 
@@ -29,6 +28,8 @@ def episode_seed(master_seed: int, episode_index: int) -> int:
 
 
 def _env_actions(env) -> int:
+    from ..interventions import N_DISCRETE_ACTIONS
+
     return int(getattr(env, "n_actions", N_DISCRETE_ACTIONS))
 
 
