@@ -50,20 +50,20 @@ class RtSeries:
 
 def estimate_rt(
     series: list[DailyCounts],
-    mean_infectious_duration: float,
+    infectious_mean: float,
     window: int = 7,
 ) -> tuple[RtSeries, list[float]]:
     """Ratio estimator of the real-time reproduction number.
 
     R_t = (smoothed new infections / smoothed currently infectious) *
-    mean_infectious_duration, using a trailing window. Days whose window
+    infectious_mean, using a trailing window. Days whose window
     contains no infectious person are omitted. Also returns the smoothed
     infectious counts aligned with the estimates (useful for filtering
     low-signal days downstream).
     """
     if not series:
         raise ProtocolError("cannot estimate R_t from an empty series")
-    if mean_infectious_duration <= 0:
+    if infectious_mean <= 0:
         raise ProtocolError("mean infectious duration must be positive")
     new_inf = np.array([c.new_infections for c in series], dtype=np.float64)
     infectious = np.array([c.I for c in series], dtype=np.float64)
@@ -78,7 +78,7 @@ def estimate_rt(
             continue
         new_bar = new_inf[lo:t + 1].mean()
         days.append(series[t].day)
-        values.append(float(new_bar / inf_bar * mean_infectious_duration))
+        values.append(float(new_bar / inf_bar * infectious_mean))
         smoothed_i.append(float(inf_bar))
     return RtSeries(days=days, values=values, window=window), smoothed_i
 
@@ -128,14 +128,14 @@ class StrategyMetrics:
 def strategy_metrics_from_eval(
     name: str,
     episodes,
-    mean_infectious_duration: float,
+    infectious_mean: float,
     rt_window: int = 7,
     min_infectious: float = 5.0,
 ) -> StrategyMetrics:
     """Build comparison metrics from env.evaluate output."""
     cross_days = []
     for ep in episodes:
-        rt, smoothed = estimate_rt(ep.series, mean_infectious_duration, rt_window)
+        rt, smoothed = estimate_rt(ep.series, infectious_mean, rt_window)
         day = rt.first_below_one(min_infectious=min_infectious, smoothed_infectious=smoothed)
         cross_days.append(float("inf") if day is None else float(day))
     return StrategyMetrics(

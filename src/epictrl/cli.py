@@ -3,9 +3,11 @@
 Every command resolves its full configuration (defaults, optional config
 file, repeatable --set overrides), validates all inputs, and only then
 creates the output directory and writes a manifest (manifest.json) before
-any other output. Outputs contain no timestamps, so rerunning a command
-with the manifest's recorded configuration and seeds reproduces them byte
-for byte. A manifest file can itself be passed to --config.
+any other output. simulate, evaluate and compare run their episodes before
+that, so an input the environment rejects mid-run leaves no directory.
+Outputs contain no timestamps, so rerunning a command with the manifest's
+recorded configuration and seeds reproduces them byte for byte. A manifest
+file can itself be passed to --config.
 """
 
 from __future__ import annotations
@@ -208,9 +210,9 @@ def cmd_simulate(args) -> int:
     spec = args.policy
     inputs = [p for p in [args.config] if p] + _policy_file_inputs(spec)
     policy = load_policy(spec, cfg)
-    out = write_manifest(args, cfg, args.seed, inputs, {"policy": spec})
 
     episode = evaluate(policy, EpidemicEnv(cfg), [args.seed])[0]
+    out = write_manifest(args, cfg, args.seed, inputs, {"policy": spec})
     counts_to_csv(episode.series, str(out / "daily_counts.csv"))
     summary = {
         "manifest": "manifest.json",
@@ -336,10 +338,9 @@ def cmd_evaluate(args) -> int:
     seeds = parse_seeds(args.seeds)
     policy = load_policy(args.policy, cfg)
     inputs = [p for p in [args.config] if p] + _policy_file_inputs(args.policy)
-    out = write_manifest(args, cfg, seeds, inputs, {"policy": args.policy})
 
-    env = EpidemicEnv(cfg)
-    episodes = evaluate(policy, env, seeds, keep_traces=True)
+    episodes = evaluate(policy, EpidemicEnv(cfg), seeds, keep_traces=True)
+    out = write_manifest(args, cfg, seeds, inputs, {"policy": args.policy})
     with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("seed,return,cumulative_infections,deaths,mean_economic_loss_pct\n")
         for ep in episodes:
@@ -367,15 +368,16 @@ def cmd_compare(args) -> int:
     inputs = [p for p in [args.config] if p]
     for s in args.policies:
         inputs.extend(_policy_file_inputs(s))
-    out = write_manifest(args, cfg, seeds, inputs, {"policies": args.policies})
 
     env = EpidemicEnv(cfg)
+    runs = [(label, evaluate(policy, env, seeds)) for label, (_, policy) in zip(labels, policies)]
+    out = write_manifest(args, cfg, seeds, inputs, {"policies": args.policies})
+
     duration = cfg.disease.infectious_mean
     metric_sets = []
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
-    for label, (_, policy) in zip(labels, policies):
-        episodes = evaluate(policy, env, seeds)
+    for label, episodes in runs:
         metric_sets.append(strategy_metrics_from_eval(label, episodes, duration))
         for ep in episodes:
             rt, _ = estimate_rt(ep.series, duration)

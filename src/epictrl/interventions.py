@@ -186,15 +186,10 @@ def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
     st = sim.state
 
     # Candidates in the order of the layers, then of the diagnosed agents,
-    # then of each agent's edges; yesterday's community pairs follow, read
-    # from either end.
+    # then of each agent's contacts; yesterday's community layer comes last.
     contact_chunks = [layer.dst[layer.edges_from(diagnosed_today)] for layer in sim.pop.layers.values()]
-    if cfg.trace_community and sim.prev_community_src is not None:
-        src, dst = sim.prev_community_src, sim.prev_community_dst
-        is_diagnosed = np.zeros(len(st.epi_state), dtype=bool)
-        is_diagnosed[diagnosed_today] = True
-        contact_chunks.append(dst[is_diagnosed[src]])
-        contact_chunks.append(src[is_diagnosed[dst]])
+    if cfg.trace_community and sim.prev_community is not None:
+        contact_chunks.append(sim.prev_community.contacts(diagnosed_today)[1])
 
     candidates = np.concatenate(contact_chunks)
     if not len(candidates):

@@ -2,8 +2,10 @@
 
 The three static layers are full cliques within groups whose sizes are chosen
 so the mean within-group contact count matches the configured layer contact
-means. The community layer is not built here; it is resampled every simulated
-day as random pairings (see simulator.Simulation).
+means. The community layer is not built here: each simulated day draws a new
+CommunityDay (see simulator.Simulation), a circulant graph over a random
+relabelling of the agents that answers "who met these agents" without
+listing the day's edges.
 """
 
 from __future__ import annotations
@@ -48,6 +50,79 @@ class Layer:
         # gather, shifted per row by lo[k] minus the row's start in it.
         shift = lo - (np.cumsum(counts) - counts)
         return np.repeat(shift, counts) + np.arange(counts.sum())
+
+
+def community_offsets(n: int, contacts: float) -> tuple[int, int]:
+    """Number of full offsets and edges of the partial offset for n agents.
+
+    A day holds round(n * contacts / 2) pairs: n for each of the
+    floor(contacts / 2) full offsets, and the remainder m on one partial
+    offset. Offsets are distinct in [1, (n - 1) // 2], so no two are equal
+    or opposite mod n; a population too small for that many is a
+    configuration error.
+    """
+    full = int(contacts // 2)
+    partial = int(round(n * contacts / 2.0)) - n * full
+    needed = full + (partial > 0)
+    if needed > (n - 1) // 2:
+        raise ConfigurationError(
+            f"contacts_c={contacts} needs {needed} community offsets, "
+            f"but {n} agents allow only {(n - 1) // 2}"
+        )
+    return full, partial
+
+
+@dataclass
+class CommunityDay:
+    """One day's community contacts: a circulant graph on relabelled agents.
+
+    Agent ``agent_at[p]`` sits at slot p, and ``slot_of`` is the inverse
+    permutation. Each full offset o joins every slot p to (p + o) mod n;
+    the partial offset joins only the slots p < ``partial_edges``. The
+    relation is symmetric, has no self-contacts and no repeated pair, and
+    at an even integer contact mean every agent has exactly that many
+    contacts.
+    """
+
+    agent_at: np.ndarray  # slot -> agent
+    slot_of: np.ndarray   # agent -> slot
+    offsets: np.ndarray   # full offsets, then the partial one if any
+    partial_edges: int    # edges of the partial offset; 0 when there is none
+
+    @classmethod
+    def sample(cls, n: int, full: int, partial: int, rng: np.random.Generator) -> "CommunityDay":
+        """Draw the relabelling, then the offsets, as sized by community_offsets."""
+        agent_at = rng.permutation(n)
+        slot_of = np.empty(n, dtype=np.int64)
+        slot_of[agent_at] = np.arange(n)
+        offsets = rng.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
+        return cls(agent_at, slot_of, offsets, partial)
+
+    def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) of every contact of ``ids``, in the order of the ids, then of the offsets.
+
+        Each offset gives its forward contact (slot + o), then its backward
+        one (slot - o); under the partial offset only those whose lower slot
+        is below ``partial_edges`` exist. Repeated ids give their contacts
+        again.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        n = len(self.agent_at)
+        slots = self.slot_of[ids][:, None]
+        forward = slots + self.offsets
+        forward[forward >= n] -= n
+        backward = slots - self.offsets
+        backward[backward < 0] += n
+        # Columns: +o1, -o1, +o2, -o2, ... per id.
+        nbr = np.stack([forward, backward], axis=2).reshape(len(ids), 2 * len(self.offsets))
+        src = np.broadcast_to(ids[:, None], nbr.shape)
+        if self.partial_edges:
+            m = self.partial_edges
+            exists = np.ones(nbr.shape, dtype=bool)
+            exists[:, -2] = slots[:, 0] < m
+            exists[:, -1] = nbr[:, -1] < m
+            return src[exists], self.agent_at[nbr[exists]]
+        return src.ravel(), self.agent_at[nbr.ravel()]
 
 
 @dataclass

@@ -9,11 +9,14 @@ Transitions are scheduled when a state is entered; on the scheduled day the
 agent advances (drawing symptom/severity/fatality outcomes at the moment
 they are needed). Only the three infectious states transmit; DEAD and
 RECOVERED are absorbing. Transmission runs over four contact layers:
-household/school/work cliques (static per run) and a community layer of
-random pairings resampled every day.
+household/school/work cliques (static per run) and a community layer drawn
+anew every day as a circulant graph over a random relabelling of the agents
+(population.CommunityDay). Transmission and tracing look up the contacts of
+the agents they concern only, so a day's cost follows the epidemic rather
+than the number of community pairs.
 
 Everything stochastic draws from named substreams of a single master seed
-in ascending agent-id order, which makes whole runs bit-reproducible.
+in a fixed order, which makes whole runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from . import interventions as iv
 from .config import DiseaseConfig, InterventionConfig, PopulationConfig
 from .errors import ConfigurationError
 from .interventions import Action
-from .population import Population, synthesize_population
+from .population import CommunityDay, Population, community_offsets, synthesize_population
 from .rng import all_substreams
 
 logger = logging.getLogger(__name__)
@@ -58,13 +61,6 @@ def _state_table(states) -> np.ndarray:
 
 IS_INFECTIOUS = _state_table(INFECTIOUS_STATES)
 IS_INFECTED = _state_table(INFECTED_STATES)
-
-# Each state's part in transmission, 0 for neither. A contact's code
-# 3 * role[src] + role[dst] then tells which end, if either, can infect the
-# other.
-SUSCEPTIBLE_ROLE, INFECTIOUS_ROLE = 1, 2
-TRANSMISSION_ROLE = np.where(IS_INFECTIOUS, INFECTIOUS_ROLE, 0).astype(np.int8)
-TRANSMISSION_ROLE[EpiState.SUSCEPTIBLE] = SUSCEPTIBLE_ROLE
 
 # Sentinel for "outcome drawn at transition time" in next_state.
 DRAW_AT_TRANSITION = -1
@@ -206,18 +202,17 @@ class Simulation:
         self._latent_mu, self._latent_sigma = _lognormal_params(disease_cfg.latent_mean, disease_cfg.latent_sd)
         self._inf_mu, self._inf_sigma = _lognormal_params(disease_cfg.infectious_mean, disease_cfg.infectious_sd)
 
+        self._community_shape = community_offsets(pop_cfg.pop_size, pop_cfg.contacts_c)
         self.pop: Population = synthesize_population(pop_cfg, self.streams["population"])
         self.state = AgentState.fresh(pop_cfg.pop_size)
         self.day = 0
         self.seeded_ids = seed_infections(self.state, pop_cfg, self.streams["seeding"])
         self._schedule_latent(self.seeded_ids)
 
-        # Community pairings: today's are sampled at the start of each day;
-        # yesterday's are retained for contact tracing.
-        self.prev_community_src: np.ndarray | None = None
-        self.prev_community_dst: np.ndarray | None = None
-        self._community_src: np.ndarray | None = None
-        self._community_dst: np.ndarray | None = None
+        # Community contacts: today's are drawn at the start of each day;
+        # yesterday's are kept for contact tracing.
+        self.community: CommunityDay | None = None
+        self.prev_community: CommunityDay | None = None
 
         # Cumulative counters.
         self.cum_tests = 0
@@ -252,10 +247,10 @@ class Simulation:
         st = self.state
         day = self.day
 
-        # Rotate the community layer: keep yesterday's pairs for tracing.
-        self.prev_community_src = self._community_src
-        self.prev_community_dst = self._community_dst
-        self._sample_community()
+        # Rotate the community layer: keep yesterday's for tracing.
+        self.prev_community = self.community
+        self.community = CommunityDay.sample(
+            self.pop_cfg.pop_size, *self._community_shape, self.streams["community"])
 
         new_exposed = self._transmit(action.ch_beta)
         new_severe, new_deaths, new_recovered = self._progress()
@@ -284,13 +279,6 @@ class Simulation:
         self.day += 1
         return counts
 
-    def _sample_community(self) -> None:
-        n = self.pop_cfg.pop_size
-        n_pairs = int(round(n * self.pop_cfg.contacts_c / 2.0))
-        rng = self.streams["community"]
-        self._community_src = rng.integers(0, n, size=n_pairs, dtype=np.int64)
-        self._community_dst = rng.integers(0, n, size=n_pairs, dtype=np.int64)
-
     def _transmit(self, ch_beta: float) -> np.ndarray:
         """One transmission sweep with state frozen at the start of the day.
 
@@ -302,11 +290,10 @@ class Simulation:
             return np.empty(0, dtype=np.int64)
 
         epi = st.epi_state
-        role = TRANSMISSION_ROLE[epi]
-        infectious_ids = np.flatnonzero(role == INFECTIOUS_ROLE)
+        infectious_ids = np.flatnonzero(IS_INFECTIOUS[epi])
         if not len(infectious_ids):
             return np.empty(0, dtype=np.int64)
-        susceptible = role == SUSCEPTIBLE_ROLE
+        susceptible = epi == EpiState.SUSCEPTIBLE
         quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
 
         base = iv.apply_lockdown(ch_beta, self.pop_cfg.beta_initial)
@@ -314,22 +301,16 @@ class Simulation:
         cfg = self.int_cfg
 
         # Candidate (infectious src, susceptible dst) contacts of each layer,
-        # in the layer's edge order: static layers gather only the edges of
-        # today's infectious agents; the community pairs are read once per
-        # endpoint array and yield both directions.
+        # gathered for today's infectious agents only, in the order of the
+        # agents and then of each agent's contacts.
         candidates: list[tuple[str, np.ndarray, np.ndarray]] = []
         for name, layer in self.pop.layers.items():
             e = layer.edges_from(infectious_ids)
             e = e[susceptible[layer.dst[e]]]
             candidates.append((name, layer.src[e], layer.dst[e]))
-        c_src, c_dst = self._community_src, self._community_dst
-        code = np.take(role, c_src)
-        code *= 3
-        code += np.take(role, c_dst)
-        forward = np.flatnonzero(code == 3 * INFECTIOUS_ROLE + SUSCEPTIBLE_ROLE)
-        backward = np.flatnonzero(code == 3 * SUSCEPTIBLE_ROLE + INFECTIOUS_ROLE)
-        candidates.append(("community", c_src[forward], c_dst[forward]))
-        candidates.append(("community", c_dst[backward], c_src[backward]))
+        c_src, c_dst = self.community.contacts(infectious_ids)
+        keep = susceptible[c_dst]
+        candidates.append(("community", c_src[keep], c_dst[keep]))
 
         hit_chunks: list[np.ndarray] = []
         rng = self.streams["transmission"]

@@ -29,25 +29,25 @@ def constant_series(n_days, infectious, new_infections, start_day=0):
 class TestEstimateRt:
     def test_zero_numerator_gives_zero(self):
         series = constant_series(20, infectious=40, new_infections=0)
-        rt, _ = estimate_rt(series, mean_infectious_duration=8.0)
+        rt, _ = estimate_rt(series, infectious_mean=8.0)
         assert rt.values and all(v == 0.0 for v in rt.values)
 
     def test_steady_state_fixed_point_is_one(self):
         # 10 new infections per day with 80 infectious and 8-day duration.
         series = constant_series(30, infectious=80, new_infections=10)
-        rt, _ = estimate_rt(series, mean_infectious_duration=8.0)
+        rt, _ = estimate_rt(series, infectious_mean=8.0)
         assert all(abs(v - 1.0) <= 1e-9 for v in rt.values)
 
     def test_days_without_infectious_are_omitted(self):
         series = constant_series(10, infectious=0, new_infections=0)
         series += constant_series(10, infectious=50, new_infections=5, start_day=10)
-        rt, _ = estimate_rt(series, mean_infectious_duration=8.0)
+        rt, _ = estimate_rt(series, infectious_mean=8.0)
         assert rt.days[0] == 10
         assert len(rt.days) == 10
 
     def test_all_zero_series_is_empty_not_error(self):
         series = constant_series(10, infectious=0, new_infections=0)
-        rt, smoothed = estimate_rt(series, mean_infectious_duration=8.0)
+        rt, smoothed = estimate_rt(series, infectious_mean=8.0)
         assert rt.days == [] and rt.values == [] and smoothed == []
 
     def test_scale_free(self):
@@ -120,7 +120,7 @@ class TestCompareStrategies:
             fake_episode(s, int(1000 * scale), int(10 * scale), 0.1 * scale, 500.0 / scale, series)
             for s in (1, 2, 3)
         ]
-        return strategy_metrics_from_eval(name, episodes, mean_infectious_duration=8.0)
+        return strategy_metrics_from_eval(name, episodes, infectious_mean=8.0)
 
     def test_identical_strategies_identical_rows(self):
         a = self._metrics("a")

@@ -68,11 +68,11 @@ class TestSimulate:
         assert code == 0
 
     def test_no_intervention_daily_counts_fingerprint(self, tmp_path):
-        # SHA-256 of the file written before simulate ran through env.evaluate.
+        # SHA-256 of the file, recorded when the community layer became a circulant graph.
         out = tmp_path / "run"
         assert run_cli("simulate", "--out", out, "--seed", 3, *BASE_OVERRIDES) == 0
         digest = hashlib.sha256((out / "daily_counts.csv").read_bytes()).hexdigest()
-        assert digest == "c0e2d6ed671bada7cda9468661e38c9b3b2a4555b0b71c062c58e056672187c7"
+        assert digest == "87490d1618a0d71fde60be251fb738d9b189c245024ef1dbc930db0d97ceb819"
 
     @pytest.mark.parametrize("policy", ["none", "schedule:7w7l", "schedule:uk-approx"])
     def test_simulate_and_evaluate_write_the_same_series(self, tmp_path, policy):
@@ -88,6 +88,17 @@ class TestSimulate:
                        "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
         assert code == 2
         assert "not a discrete level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "schedule:7w7l"],
+        ["evaluate", "--policy", "schedule:7w7l", "--seeds", "0"],
+        ["compare", "--policy", "none", "--policy", "schedule:7w7l", "--seeds", "0"],
+    ])
+    def test_action_rejected_mid_run_leaves_no_output_dir(self, tmp_path, command):
+        out = tmp_path / "X"
+        code = run_cli(*command, "--out", out, "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
+        assert code == 2
+        assert not out.exists()
 
     def test_missing_policy_file_is_usage_error(self, tmp_path):
         out = tmp_path / "run"

@@ -16,9 +16,11 @@ from epictrl.interventions import (
     run_testing,
     run_tracing,
 )
+from epictrl.population import CommunityDay, community_offsets
 from epictrl.simulator import EpiState, Simulation
 
 from tests.episodes import constant_policy, ungated_series
+from tests.test_population import community_edges, scan_community_contacts
 
 
 def make_sim(pop_size=200, pop_infected=5, seed=1, int_cfg=None, **pop_kwargs) -> Simulation:
@@ -113,7 +115,7 @@ class TestTesting:
     def test_positive_results_only_for_infected(self):
         int_cfg = InterventionConfig(symp_detection_prob=0.0, severe_detection_prob=0.0,
                                      test_delay=1, asymptomatic_test_factor=1.0)
-        sim = make_sim(pop_size=10, pop_infected=1, seed=3, int_cfg=int_cfg)
+        sim = make_sim(pop_size=10, pop_infected=1, seed=3, int_cfg=int_cfg, contacts_c=4.0)
         sim.state.epi_state[:] = EpiState.SUSCEPTIBLE
         sim.state.epi_state[3] = EpiState.EXPOSED
         sim.state.epi_state[4] = EpiState.RECOVERED
@@ -183,9 +185,20 @@ class TestTracing:
     def test_community_contacts_traced_from_both_pair_directions(self):
         sim = make_sim(pop_size=200, seed=3)
         diagnosed = np.array([3, 17])
-        sim.prev_community_src = np.array([3, 50, 60, 17, 70])
-        sim.prev_community_dst = np.array([40, 3, 61, 80, 17])
-        expected = {40, 50, 70, 80}
+        # Slot p holds agent 7p mod 200. Offset 10 is full; offset 3 joins
+        # only slots p < 30 to p + 3. Agent 3 (slot 29) has both its offset-3
+        # contacts, agent 17 (slot 31) only the one at slot 28.
+        agent_at = np.arange(200) * 7 % 200
+        slot_of = np.empty(200, dtype=np.int64)
+        slot_of[agent_at] = np.arange(200)
+        sim.prev_community = CommunityDay(agent_at, slot_of, np.array([10, 3]), partial_edges=30)
+        u, v, _ = community_edges(sim.prev_community)
+        community = set()
+        for agent in diagnosed:
+            assert (u == agent).any() and (v == agent).any()
+            community |= set(v[u == agent].tolist()) | set(u[v == agent].tolist())
+        assert community == {73, 133, 24, 182} | {87, 147, 196}
+        expected = set(community)
         for layer in sim.pop.layers.values():
             for agent in diagnosed:
                 expected |= set(layer.dst[layer.src == agent].tolist())
@@ -196,17 +209,16 @@ class TestTracing:
     def test_tracing_matches_brute_force_reference(self):
         sim = make_sim(pop_size=300, seed=4)
         rng = np.random.default_rng(11)
-        sim.prev_community_src = rng.integers(0, 300, size=600)
-        sim.prev_community_dst = rng.integers(0, 300, size=600)
+        sim.prev_community = CommunityDay.sample(300, *community_offsets(300, 7.3), rng)
+        assert sim.prev_community.partial_edges
         diagnosed = np.sort(rng.choice(300, size=12, replace=False))
-        from_src = np.isin(sim.prev_community_src, diagnosed)
-        from_dst = np.isin(sim.prev_community_dst, diagnosed)
-        assert from_src.any() and from_dst.any()
 
-        # Candidates by layer, diagnosed agent and edge, then both pair directions.
+        # Candidates by layer, diagnosed agent and edge, then yesterday's
+        # community contacts scanned from the day's full edge list.
         chunks = [layer.dst[layer.src == agent] for layer in sim.pop.layers.values() for agent in diagnosed]
-        chunks += [sim.prev_community_dst[from_src], sim.prev_community_src[from_dst]]
-        candidates = np.concatenate(chunks)
+        community = scan_community_contacts(community_edges(sim.prev_community), diagnosed)
+        assert len(community) > 0
+        candidates = np.concatenate(chunks + [community])
         stream = copy.deepcopy(sim.streams["tracing"])
         identified = np.unique(candidates[stream.random(len(candidates)) < 0.5])
 
@@ -214,6 +226,32 @@ class TestTracing:
         assert new_q == len(identified) > 0
         np.testing.assert_array_equal(np.flatnonzero(sim.state.quarantine_start >= 0), identified)
         assert sim.streams["tracing"].bit_generator.state == stream.bit_generator.state
+
+    def test_tracing_finds_the_community_infector(self):
+        # Only the community layer transmits; one agent is held infectious.
+        int_cfg = InterventionConfig(symp_detection_prob=0.0, severe_detection_prob=0.0)
+        sim = make_sim(pop_size=300, seed=6, int_cfg=int_cfg, beta_initial=0.5, layer_weights=(0.0, 0.0, 0.0, 1.0))
+        st = sim.state
+        st.epi_state[:] = EpiState.SUSCEPTIBLE
+        st.scheduled_day[:] = -1
+        infector = 123
+        st.epi_state[infector] = EpiState.I_MILD
+        st.scheduled_day[infector] = 10_000
+        st.next_state[infector] = EpiState.RECOVERED
+
+        assert sim.step_day(NULL_ACTION).new_infections > 0
+        static = set()
+        for layer in sim.pop.layers.values():
+            static |= set(layer.neighbors_of(infector).tolist())
+        infected = [i for i in np.flatnonzero(st.epi_state == EpiState.EXPOSED).tolist() if i not in static]
+        assert infected, "no infection that only the community layer explains"
+        case = infected[0]
+        # The case's result comes back today; tracing then reads yesterday's layer.
+        st.test_pending_day[case] = sim.day
+        st.test_positive[case] = True
+        counts = sim.step_day(Action(1.0, 0.0, 1.0))
+        assert counts.new_diagnoses == 1
+        assert st.quarantine_start[infector] == sim.day - 1 + int_cfg.trace_delay
 
     def test_cq_counts_distinct_entries(self, small_cfg):
         policy = constant_policy(Action(1.0, 0.75, 0.75))

@@ -5,7 +5,7 @@ import pytest
 
 from epictrl.config import PopulationConfig
 from epictrl.errors import ConfigurationError
-from epictrl.population import _group_members, synthesize_population
+from epictrl.population import CommunityDay, _group_members, community_offsets, synthesize_population
 from epictrl.rng import substream
 
 
@@ -139,6 +139,100 @@ def test_group_members_keep_member_order():
     assert list(members) == sorted(set(group_of.tolist()))
     for g, got in members.items():
         np.testing.assert_array_equal(got, ids[group_of == g])
+
+
+def community_day(n, contacts, seed=0) -> CommunityDay:
+    return CommunityDay.sample(n, *community_offsets(n, contacts), np.random.default_rng(seed))
+
+
+def community_edges(day: CommunityDay):
+    """The day's full edge list as (lower end, upper end, offset index), offset by offset.
+
+    Offset o joins slot p to slot (p + o) mod n for every p, or for p below
+    partial_edges when o is the partial (last) offset.
+    """
+    n = len(day.agent_at)
+    us, vs, js = [], [], []
+    for j, o in enumerate(day.offsets.tolist()):
+        partial = day.partial_edges and j == len(day.offsets) - 1
+        for p in range(day.partial_edges if partial else n):
+            us.append(day.agent_at[p])
+            vs.append(day.agent_at[(p + o) % n])
+            js.append(j)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(js, dtype=np.int64)
+
+
+def scan_community_contacts(edges, ids) -> np.ndarray:
+    """Contacts of each id in turn, offset by offset: upper end where it is the lower, then the reverse."""
+    u, v, j = edges
+    chunks = [np.empty(0, dtype=np.int64)]
+    for i in ids:
+        for k in range(j.max() + 1 if len(j) else 0):
+            chunks += [v[(u == i) & (j == k)], u[(v == i) & (j == k)]]
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 4.0), (9, 8.0), (2, 0.01)])
+def test_community_degree_is_exactly_c_and_symmetric(n, contacts):
+    day = community_day(n, contacts)
+    src, dst = day.contacts(np.arange(n))
+    np.testing.assert_array_equal(np.bincount(src, minlength=n), np.full(n, int(contacts)))
+    assert not (src == dst).any()
+    pairs = set(zip(src.tolist(), dst.tolist()))
+    assert len(pairs) == len(src)  # no pair twice
+    assert pairs == set(zip(dst.tolist(), src.tolist()))
+
+
+def test_community_offsets_distinct_and_below_half():
+    day = community_day(1000, 20.0)
+    offsets = day.offsets.tolist()
+    assert len(set(offsets)) == len(offsets) == 10
+    assert all(1 <= o <= 499 for o in offsets)
+    np.testing.assert_array_equal(day.agent_at[day.slot_of], np.arange(1000))
+    for seed in range(10):  # at n = 10 four offsets take all of 1..4, never n / 2 = 5
+        assert sorted(community_day(10, 8.0, seed).offsets.tolist()) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("n,contacts", [(1000, 7.3), (1000, 0.5), (101, 3.99)])
+def test_fractional_community_mean_gives_rounded_pair_count(n, contacts):
+    day = community_day(n, contacts)
+    u, v, _ = community_edges(day)
+    assert len(u) == round(n * contacts / 2)
+    src, dst = day.contacts(np.arange(n))
+    assert len(src) == 2 * len(u)
+    assert set(zip(src.tolist(), dst.tolist())) == set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
+
+
+@pytest.mark.parametrize("contacts", [6.0, 7.3])
+def test_community_contacts_match_edge_list_scan(contacts):
+    n = 400
+    day = community_day(n, contacts, seed=5)
+    edges = community_edges(day)
+    rng = np.random.default_rng(3)
+    id_sets = [
+        np.empty(0, dtype=np.int64),
+        np.arange(n),
+        rng.integers(0, n, size=80),  # unsorted, with repeats
+        [5, 5, 5],
+        day.agent_at[[0, day.partial_edges - 1, day.partial_edges, n - 1]],  # either side of the partial cut
+    ]
+    for ids in id_sets:
+        src, dst = day.contacts(ids)
+        expected = scan_community_contacts(edges, ids)
+        np.testing.assert_array_equal(dst, expected)
+        degrees = [len(scan_community_contacts(edges, [i])) for i in ids]
+        np.testing.assert_array_equal(src, np.repeat(np.asarray(ids, dtype=np.int64), degrees))
+
+
+def test_too_many_community_offsets_rejected():
+    assert community_offsets(21, 20.0) == (10, 0)
+    assert community_offsets(1000, 7.3) == (3, 650)
+    with pytest.raises(ConfigurationError):
+        community_offsets(21, 22.0)
+    with pytest.raises(ConfigurationError):
+        community_offsets(21, 20.5)  # ten full offsets plus a partial one
+    with pytest.raises(ConfigurationError):
+        community_offsets(20, 20.0)  # offset 10 = n / 2 would reach the same slot forward and back
 
 
 def test_invalid_configs_rejected():

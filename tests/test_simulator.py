@@ -58,6 +58,27 @@ class TestSeeding:
             seed_infections(state, cfg, np.random.default_rng(0))
 
 
+class TestCommunityLayer:
+    def test_population_too_small_for_community_mean_is_config_error(self):
+        # 21 agents allow offsets 1..10: ten full offsets fit, an eleventh does not.
+        make_sim(pop_size=21, contacts_c=20.0)
+        for contacts in (22.0, 20.5):
+            with pytest.raises(ConfigurationError):
+                make_sim(pop_size=21, contacts_c=contacts)
+        with pytest.raises(ConfigurationError):
+            make_sim(pop_size=10)  # the default contacts_c of 20
+
+    def test_each_day_draws_a_new_community_layer(self):
+        sim = make_sim(pop_size=500)
+        sim.step_day(NULL_ACTION)
+        first = sim.community
+        sim.step_day(NULL_ACTION)
+        assert sim.prev_community is first
+        assert not np.array_equal(sim.community.agent_at, first.agent_at)
+        src, _ = sim.community.contacts(np.arange(500))
+        assert len(src) == 500 * 20
+
+
 class TestConservationAndDeterminism:
     def test_conservation_every_day(self, small_cfg):
         series = ungated_series(small_cfg, n_days=80, seed=3)
