@@ -34,8 +34,9 @@ env = EpidemicEnv(cfg)
 seeds = list(range(500, 506))
 print("\npaired evaluation over", len(seeds), "seeds:")
 print(f"{'policy':<10} {'infections':>11} {'deaths':>7} {'econ loss':>10} {'return':>9}")
+# The trained agent is itself a policy: its select_action is the greedy action.
 for name, policy in (
-    ("ppo", result.agent.policy()),
+    ("ppo", result.agent),
     ("7w7l", seven_work_seven_lockdown()),
     ("none", null_policy()),
 ):

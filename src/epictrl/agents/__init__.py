@@ -1,8 +1,12 @@
-"""Learning agents: PPO (continuous or discrete) and DQN with prioritized replay."""
+"""Learning agents: PPO (continuous or discrete) and DQN with prioritized replay.
 
-from .dqn import DQNAgent, DQNPolicy
+Both kinds share one protocol (act, observe, select_action, state_dict,
+load_state_dict); see training.
+"""
+
+from .dqn import DQNAgent
 from .networks import MLP, Adam
-from .ppo import PPOAgent, PPOPolicy, Rollout, clipped_surrogate, compute_gae
+from .ppo import PPOAgent, Rollout, clipped_surrogate, compute_gae
 from .replay import PrioritizedBuffer
 from .training import (
     TrainResult,
@@ -16,10 +20,8 @@ from .training import (
 __all__ = [
     "Adam",
     "DQNAgent",
-    "DQNPolicy",
     "MLP",
     "PPOAgent",
-    "PPOPolicy",
     "PrioritizedBuffer",
     "Rollout",
     "TrainResult",

@@ -13,8 +13,8 @@ import numpy as np
 
 from ..config import DqnConfig
 from ..errors import ProtocolError, TrainingError
-from ..interventions import N_DISCRETE_ACTIONS, encode_discrete
-from .networks import MLP, Adam
+from ..interventions import Action, N_DISCRETE_ACTIONS, encode_discrete
+from .networks import MLP, Adam, flat_params, load_flat_params, load_params_state, params_state
 from .replay import PrioritizedBuffer
 
 
@@ -30,7 +30,7 @@ class DQNAgent:
         self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         self.q_net = MLP((obs_dim, *cfg.hidden_sizes, n_actions), init_rng)
         self.target_net = MLP((obs_dim, *cfg.hidden_sizes, n_actions), init_rng)
-        self.target_net.set_flat(self.q_net.get_flat())
+        load_flat_params(self.target_net.parameters(), flat_params(self.q_net.parameters()))
         self.optimizer = Adam(self.q_net.parameters(), lr=cfg.learning_rate)
         self.buffer = PrioritizedBuffer(
             cfg.buffer_size, obs_dim, cfg.per_alpha, cfg.per_beta, cfg.per_beta_increment
@@ -46,6 +46,7 @@ class DQNAgent:
         return cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * anneal
 
     def act(self, obs: np.ndarray, progress: float) -> int:
+        """ε-greedy grid index; progress is the share of training done."""
         if self.rng.random() < self.epsilon(progress):
             return int(self.rng.integers(self.n_actions))
         return self.greedy_action(obs)
@@ -53,8 +54,19 @@ class DQNAgent:
     def greedy_action(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.q_net(obs)[0]))
 
-    def policy(self) -> "DQNPolicy":
-        return DQNPolicy(self)
+    def select_action(self, observation: np.ndarray, day: int) -> Action:
+        """Greedy evaluation action."""
+        return encode_discrete(self.greedy_action(observation))
+
+    def observe(self, obs, action: int, reward: float, next_obs, done: bool) -> dict | None:
+        """Store the transition; once learning_starts are stored, take one update.
+
+        Returns the update's diagnostics, or None.
+        """
+        self.buffer.add(obs, action, reward * self.cfg.reward_scale, next_obs, done)
+        if len(self.buffer) < self.cfg.learning_starts:
+            return None
+        return self.update()
 
     # -- learning ----------------------------------------------------------
 
@@ -93,20 +105,28 @@ class DQNAgent:
         return {"loss": loss, "td_errors": td_errors, "mean_q": float(q_taken.mean())}
 
     def _update_target(self) -> None:
+        online, target = self.q_net.parameters(), self.target_net.parameters()
         tau = self.cfg.tau
         if tau >= 1.0:
-            self.target_net.set_flat(self.q_net.get_flat())
+            load_flat_params(target, flat_params(online))
         else:
-            mixed = tau * self.q_net.get_flat() + (1.0 - tau) * self.target_net.get_flat()
-            self.target_net.set_flat(mixed)
+            load_flat_params(target, tau * flat_params(online) + (1.0 - tau) * flat_params(target))
 
+    # -- checkpoints --------------------------------------------------------
 
-class DQNPolicy:
-    """Greedy evaluation wrapper around a trained DQN agent."""
+    def state_dict(self) -> dict:
+        """Networks, optimizer and PER β; the replay buffer is not saved."""
+        return {
+            "params": params_state(self.q_net.parameters()),
+            "target_params": params_state(self.target_net.parameters()),
+            "optimizer": self.optimizer.state_dict(),
+            "gradient_steps": self.gradient_steps,
+            "per_beta": self.buffer.beta,
+        }
 
-    def __init__(self, agent: DQNAgent, name: str = "dqn"):
-        self.agent = agent
-        self.name = name
-
-    def select_action(self, observation: np.ndarray, day: int):
-        return encode_discrete(self.agent.greedy_action(observation))
+    def load_state_dict(self, state: dict) -> None:
+        load_params_state(self.q_net.parameters(), state["params"])
+        load_params_state(self.target_net.parameters(), state["target_params"])
+        self.optimizer.load_state_dict(state["optimizer"])
+        self.gradient_steps = int(state["gradient_steps"])
+        self.buffer.beta = float(state["per_beta"])

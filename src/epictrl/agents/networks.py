@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ShapeError
+
 
 class MLP:
     """Fully-connected network, tanh hidden activations, linear output."""
@@ -63,24 +65,39 @@ class MLP:
                 delta = delta @ self.weights[i].T
         return grads
 
-    # -- flat parameter views (checkpointing, finite differences) --------
-
     def parameters(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
 
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != len(flat):
-            raise ValueError(f"flat vector length {len(flat)} != parameter count {offset}")
+# -- the flat parameter codec (checkpoints, target networks, finite differences)
+
+
+def flat_params(params: list[np.ndarray]) -> np.ndarray:
+    """All parameters concatenated into one vector, in list order."""
+    return np.concatenate([p.ravel() for p in params])
+
+
+def load_flat_params(params: list[np.ndarray], flat: np.ndarray) -> None:
+    """Write a flat_params vector back into the arrays, in place."""
+    offset = 0
+    for p in params:
+        p[...] = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    if offset != len(flat):
+        raise ShapeError(f"flat vector length {len(flat)} != parameter count {offset}")
+
+
+def params_state(params: list[np.ndarray]) -> dict:
+    """JSON-ready shapes and flat values of a parameter list."""
+    return {"shapes": [list(p.shape) for p in params], "flat": flat_params(params).tolist()}
+
+
+def load_params_state(params: list[np.ndarray], state: dict) -> None:
+    """Write a params_state back into the arrays, in place."""
+    load_flat_params(params, np.asarray(state["flat"], dtype=np.float64))
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:

@@ -23,7 +23,7 @@ from ..interventions import (
     N_DISCRETE_ACTIONS,
     encode_discrete,
 )
-from .networks import MLP, Adam, clip_global_norm
+from .networks import MLP, Adam, clip_global_norm, load_params_state, params_state
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -94,13 +94,14 @@ class ContinuousActor:
         mean = self.mlp(obs)[0]
         std = np.exp(self.log_std)
         u = mean + std * rng.standard_normal(self.act_dim)
-        logp = float(self._gauss_logp(u[None, :], mean[None, :])[0])
+        logp = float(self.log_prob(u[None, :], mean[None, :])[0])
         return self.squash(u), u, logp
 
     def deterministic(self, obs: np.ndarray) -> np.ndarray:
         return self.squash(self.mlp(obs)[0])
 
-    def _gauss_logp(self, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    def log_prob(self, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """Log-density of pre-squash samples u under Gaussians centred on mean."""
         std = np.exp(self.log_std)
         z = (u - mean) / std
         return (-0.5 * z ** 2 - self.log_std - 0.5 * LOG_2PI).sum(axis=1)
@@ -196,26 +197,43 @@ class PPOAgent:
         self.params = self.actor.parameters() + self.critic.parameters()
         self.optimizer = Adam(self.params, lr=cfg.learning_rate)
         self.rollout = Rollout(cfg.n_steps, obs_dim, continuous=(space_kind == "continuous"))
+        self._acted: tuple | None = None  # (stored action, log-prob, value) of the last act()
 
     # -- acting -----------------------------------------------------------
 
-    def act(self, obs: np.ndarray) -> tuple[object, dict]:
-        """Sample an action; returns (env action, rollout bookkeeping)."""
+    def act(self, obs: np.ndarray, progress: float) -> object:
+        """Sample an env action; observe() stores it for the next update.
+
+        progress (the share of training done) is unused: PPO explores
+        through its own action distribution.
+        """
         value = float(self.critic(obs)[0, 0])
         if self.space_kind == "continuous":
             action, u, logp = self.actor.sample(obs, self.rng)
-            env_action = Action(*[float(a) for a in action])
-            return env_action, {"stored": u, "log_prob": logp, "value": value}
+            self._acted = (u, logp, value)
+            return Action(*[float(a) for a in action])
         idx, logp = self.actor.sample(obs, self.rng)
-        return idx, {"stored": idx, "log_prob": logp, "value": value}
+        self._acted = (idx, logp, value)
+        return idx
 
-    def deterministic_action(self, obs: np.ndarray) -> object:
+    def select_action(self, observation: np.ndarray, day: int) -> Action:
+        """Greedy evaluation action: the squashed mean or the likeliest grid action."""
         if self.space_kind == "continuous":
-            return Action(*[float(a) for a in self.actor.deterministic(obs)])
-        return self.actor.deterministic(obs)
+            return Action(*[float(a) for a in self.actor.deterministic(observation)])
+        return encode_discrete(self.actor.deterministic(observation))
 
-    def policy(self) -> "PPOPolicy":
-        return PPOPolicy(self)
+    def observe(self, obs, action, reward: float, next_obs, done: bool) -> dict | None:
+        """Store the transition of the last act(); update once the rollout is full.
+
+        The update bootstraps from the critic's value of next_obs unless the
+        episode ended. Returns the update's diagnostics, or None.
+        """
+        stored, log_prob, value = self._acted
+        self.rollout.add(obs, stored, log_prob, reward * self.cfg.reward_scale, value, done)
+        if not self.rollout.full:
+            return None
+        last_value = 0.0 if done else float(self.critic(next_obs)[0, 0])
+        return self.update(last_value)
 
     # -- learning ----------------------------------------------------------
 
@@ -280,9 +298,7 @@ class PPOAgent:
         if self.space_kind == "continuous":
             actor: ContinuousActor = self.actor
             mean, cache = actor.mlp.forward(obs)
-            std = np.exp(actor.log_std)
-            z = (actions - mean) / std
-            logp_new = (-0.5 * z ** 2 - actor.log_std - 0.5 * LOG_2PI).sum(axis=1)
+            logp_new = actor.log_prob(actions, mean)
         else:
             actor: DiscreteActor = self.actor
             logits, cache = actor.mlp.forward(obs)
@@ -291,14 +307,15 @@ class PPOAgent:
             logp_new = log_probs_all[np.arange(b), idx]
 
         rho = np.exp(logp_new - logp_old)
-        surr1 = rho * advantages
-        surr2 = np.clip(rho, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range) * advantages
-        policy_loss = -np.minimum(surr1, surr2).mean()
+        surrogate = clipped_surrogate(rho, advantages, cfg.clip_range)
+        policy_loss = -surrogate.mean()
         # Gradient flows through the unclipped branch wherever it attains the min.
-        active = (surr1 <= surr2).astype(np.float64)
+        active = (rho * advantages <= surrogate).astype(np.float64)
         dlogp = -(advantages * rho * active) / b
 
         if self.space_kind == "continuous":
+            std = np.exp(actor.log_std)
+            z = (actions - mean) / std
             entropy = actor.entropy()
             dmean = dlogp[:, None] * (z / std)
             actor_grads = actor.mlp.backward(cache, dmean)
@@ -326,29 +343,11 @@ class PPOAgent:
         info = {"policy_loss": float(policy_loss), "value_loss": value_loss, "entropy": float(entropy)}
         return total, actor_grads + critic_grads, info
 
-    # -- parameter access ---------------------------------------------------
+    # -- checkpoints --------------------------------------------------------
 
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+    def state_dict(self) -> dict:
+        return {"params": params_state(self.params), "optimizer": self.optimizer.state_dict()}
 
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params:
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != len(flat):
-            raise ShapeError(f"flat vector length {len(flat)} != parameter count {offset}")
-
-
-class PPOPolicy:
-    """Deterministic evaluation wrapper around a trained PPO agent."""
-
-    def __init__(self, agent: PPOAgent, name: str = "ppo"):
-        self.agent = agent
-        self.name = name
-
-    def select_action(self, observation: np.ndarray, day: int):
-        action = self.agent.deterministic_action(observation)
-        if isinstance(action, (int, np.integer)):
-            return encode_discrete(int(action))
-        return action
+    def load_state_dict(self, state: dict) -> None:
+        load_params_state(self.params, state["params"])
+        self.optimizer.load_state_dict(state["optimizer"])

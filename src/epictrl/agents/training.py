@@ -1,5 +1,12 @@
 """Training loop, learning curves, and checkpoints.
 
+Both agent kinds share one protocol: act(obs, progress) returns an env
+action, observe(obs, action, reward, next_obs, done) stores the transition
+and updates when the agent's own rule says so, select_action(obs, day) is
+the greedy evaluation action, and state_dict()/load_state_dict() carry the
+kind-specific checkpoint payload. So the loop below and the checkpoint code
+never branch on the kind, and a trained agent is an evaluation policy.
+
 Episode seeds derive deterministically from the master seed and the episode
 index, so a run resumed from a checkpoint sees exactly the episode seed
 sequence the uninterrupted run would have seen, and the learning curve
@@ -14,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DqnConfig, FullConfig, PpoConfig
+from ..config import FullConfig
 from ..errors import ConfigurationError, ShapeError
-from .dqn import DQNAgent, DQNPolicy
-from .ppo import PPOAgent, PPOPolicy
+from .dqn import DQNAgent
+from .ppo import PPOAgent
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -33,11 +40,18 @@ def _env_actions(env) -> int:
     return int(getattr(env, "n_actions", N_DISCRETE_ACTIONS))
 
 
+def make_agent(agent_kind: str, space_kind: str, obs_dim: int, n_actions: int,
+               config: FullConfig, seed: int):
+    """A new agent of one kind, configured by config.ppo or config.dqn."""
+    if agent_kind == "ppo":
+        return PPOAgent(obs_dim, space_kind, config.ppo, seed, n_actions=n_actions)
+    return DQNAgent(obs_dim, config.dqn, seed, n_actions=n_actions)
+
+
 @dataclass
 class TrainResult:
     agent: object
     curve: list[float]
-    episodes_trained: int
 
 
 def train(
@@ -66,7 +80,6 @@ def train(
     env = env_factory()
     obs_dim = env.observation_dim
 
-    start_episode = 0
     curve: list[float] = []
     if resume_from is not None:
         agent, meta = load_checkpoint(resume_from)
@@ -77,77 +90,39 @@ def train(
             )
         if meta["obs_dim"] != obs_dim:
             raise ShapeError(f"checkpoint obs_dim {meta['obs_dim']} != env {obs_dim}")
-        start_episode = meta["episodes_trained"]
         curve = list(meta["curve"])
         seed = meta["master_seed"]
-    elif agent_kind == "ppo":
-        agent = PPOAgent(obs_dim, space_kind, config.ppo, seed, n_actions=_env_actions(env))
     else:
-        agent = DQNAgent(obs_dim, config.dqn, seed, n_actions=_env_actions(env))
+        agent = make_agent(agent_kind, space_kind, obs_dim, _env_actions(env), config, seed)
 
     steps_per_episode = env.n_steps_per_episode
     total_steps_planned = max(1, total_episodes * steps_per_episode)
-    steps_done = start_episode * steps_per_episode
+    steps_done = len(curve) * steps_per_episode
 
-    for episode in range(start_episode, total_episodes):
-        ep_seed = episode_seed(seed, episode)
-        obs = env.reset(ep_seed)
+    for episode in range(len(curve), total_episodes):
+        obs = env.reset(episode_seed(seed, episode))
         done = False
         ep_return = 0.0
         while not done:
-            if agent_kind == "ppo":
-                action, extras = agent.act(obs)
-                next_obs, reward, done, _ = env.step(action)
-                agent.rollout.add(
-                    obs, extras["stored"], extras["log_prob"],
-                    reward * config.ppo.reward_scale, extras["value"], done,
-                )
-                if agent.rollout.full:
-                    last_value = 0.0 if done else float(agent.critic(next_obs)[0, 0])
-                    agent.update(last_value)
-            else:
-                action = agent.act(obs, progress=steps_done / total_steps_planned)
-                next_obs, reward, done, _ = env.step(action)
-                agent.buffer.add(obs, action, reward * config.dqn.reward_scale, next_obs, done)
-                if len(agent.buffer) >= config.dqn.learning_starts:
-                    agent.update()
+            action = agent.act(obs, steps_done / total_steps_planned)
+            next_obs, reward, done, _ = env.step(action)
+            agent.observe(obs, action, reward, next_obs, done)
             ep_return += reward
             obs = next_obs
             steps_done += 1
         curve.append(ep_return)
 
         if checkpoint_dir and checkpoint_every and (episode + 1) % checkpoint_every == 0:
-            save_checkpoint(
-                f"{checkpoint_dir}/checkpoint_ep{episode + 1}.json",
-                agent, agent_kind, space_kind, seed, episode + 1, curve,
-            )
+            save_checkpoint(f"{checkpoint_dir}/checkpoint_ep{episode + 1}.json",
+                            agent, agent_kind, space_kind, seed, curve)
 
     if checkpoint_dir:
-        save_checkpoint(
-            f"{checkpoint_dir}/checkpoint_final.json",
-            agent, agent_kind, space_kind, seed, total_episodes, curve,
-        )
-    return TrainResult(agent=agent, curve=curve, episodes_trained=max(total_episodes, start_episode))
+        save_checkpoint(f"{checkpoint_dir}/checkpoint_final.json",
+                        agent, agent_kind, space_kind, seed, curve)
+    return TrainResult(agent=agent, curve=curve)
 
 
 # -- checkpoints ----------------------------------------------------------
-
-
-def _arrays_to_payload(arrays: list[np.ndarray]) -> dict:
-    return {
-        "shapes": [list(a.shape) for a in arrays],
-        "flat": np.concatenate([a.ravel() for a in arrays]).tolist(),
-    }
-
-
-def _payload_to_arrays(payload: dict, targets: list[np.ndarray]) -> None:
-    flat = np.asarray(payload["flat"], dtype=np.float64)
-    offset = 0
-    for target in targets:
-        target[...] = flat[offset:offset + target.size].reshape(target.shape)
-        offset += target.size
-    if offset != len(flat):
-        raise ShapeError("checkpoint parameter payload does not match network shapes")
 
 
 def save_checkpoint(
@@ -156,36 +131,21 @@ def save_checkpoint(
     agent_kind: str,
     space_kind: str,
     master_seed: int,
-    episodes_trained: int,
     curve: list[float],
 ) -> None:
-    if agent_kind == "ppo":
-        payload = {
-            "params": _arrays_to_payload(agent.params),
-            "optimizer": agent.optimizer.state_dict(),
-        }
-        agent_config = dataclasses.asdict(agent.cfg)
-    else:
-        payload = {
-            "params": _arrays_to_payload(agent.q_net.parameters()),
-            "target_params": _arrays_to_payload(agent.target_net.parameters()),
-            "optimizer": agent.optimizer.state_dict(),
-            "gradient_steps": agent.gradient_steps,
-            "per_beta": agent.buffer.beta,
-        }
-        agent_config = dataclasses.asdict(agent.cfg)
+    """Write the agent and its run; episodes_trained is len(curve)."""
     data = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "agent_kind": agent_kind,
         "space_kind": space_kind,
         "obs_dim": agent.obs_dim,
         "n_actions": agent.n_actions,
-        "agent_config": agent_config,
+        "agent_config": dataclasses.asdict(agent.cfg),
         "master_seed": master_seed,
-        "episodes_trained": episodes_trained,
+        "episodes_trained": len(curve),
         "curve": list(curve),
         "rng_state": agent.rng.bit_generator.state,
-        **payload,
+        **agent.state_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
@@ -197,37 +157,16 @@ def load_checkpoint(path: str):
         data = json.load(fh)
     if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {data.get('format_version')}")
-    obs_dim = data["obs_dim"]
-    n_actions = int(data["n_actions"])
-    cfg_dict = dict(data["agent_config"])
-    cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
-    if data["agent_kind"] == "ppo":
-        agent = PPOAgent(obs_dim, data["space_kind"], PpoConfig(**cfg_dict),
-                         data["master_seed"], n_actions=n_actions)
-        _payload_to_arrays(data["params"], agent.params)
-        agent.optimizer.load_state_dict(data["optimizer"])
-    else:
-        agent = DQNAgent(obs_dim, DqnConfig(**cfg_dict), data["master_seed"], n_actions=n_actions)
-        _payload_to_arrays(data["params"], agent.q_net.parameters())
-        _payload_to_arrays(data["target_params"], agent.target_net.parameters())
-        agent.optimizer.load_state_dict(data["optimizer"])
-        agent.gradient_steps = int(data["gradient_steps"])
-        agent.buffer.beta = float(data["per_beta"])
+    config = FullConfig.from_dict({data["agent_kind"]: data["agent_config"]})
+    agent = make_agent(data["agent_kind"], data["space_kind"], data["obs_dim"], int(data["n_actions"]),
+                       config, data["master_seed"])
+    agent.load_state_dict(data)
     agent.rng.bit_generator.state = data["rng_state"]
-    meta = {
-        "agent_kind": data["agent_kind"],
-        "space_kind": data["space_kind"],
-        "obs_dim": obs_dim,
-        "episodes_trained": data["episodes_trained"],
-        "curve": data["curve"],
-        "master_seed": data["master_seed"],
-    }
+    meta = {key: data[key] for key in
+            ("agent_kind", "space_kind", "obs_dim", "episodes_trained", "curve", "master_seed")}
     return agent, meta
 
 
-def policy_from_checkpoint(path: str, name: str | None = None):
-    """Deterministic evaluation policy for a saved checkpoint."""
-    agent, meta = load_checkpoint(path)
-    if meta["agent_kind"] == "ppo":
-        return PPOPolicy(agent, name=name or "ppo")
-    return DQNPolicy(agent, name=name or "dqn")
+def policy_from_checkpoint(path: str):
+    """The trained agent of a checkpoint, whose select_action is greedy."""
+    return load_checkpoint(path)[0]

@@ -59,10 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except EpictrlError as exc:
+    except EpictrlError as exc:  # UsageError is one
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
@@ -149,25 +146,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def load_policy(spec: str, cfg: FullConfig):
-    """Parse a policy spec into an evaluation policy object."""
+def load_policy(spec: str, cfg: FullConfig) -> tuple[object, list[str]]:
+    """Parse a policy spec; returns the evaluation policy and the files it reads."""
     if spec == "none":
-        return null_policy()
-    if spec.startswith("schedule:"):
-        target = spec.split(":", 1)[1]
-        if target == "7w7l":
-            return seven_work_seven_lockdown(horizon_days=cfg.env.episode_days + 14)
-        if target == "uk-approx":
-            return uk_approximation_schedule()
-        if not Path(target).is_file():
-            raise UsageError(f"schedule file not found: {target}")
-        return real_world_schedule(target, name=Path(target).stem)
-    if spec.startswith("checkpoint:"):
-        target = spec.split(":", 1)[1]
-        if not Path(target).is_file():
-            raise UsageError(f"checkpoint file not found: {target}")
-        return policy_from_checkpoint(target, name=Path(target).stem)
-    raise UsageError(f"bad policy spec {spec!r}")
+        return null_policy(), []
+    if spec == "schedule:7w7l":
+        return seven_work_seven_lockdown(horizon_days=cfg.env.episode_days + 14), []
+    if spec == "schedule:uk-approx":
+        return uk_approximation_schedule(), []
+    kind, colon, target = spec.partition(":")
+    if not colon or kind not in ("schedule", "checkpoint"):
+        raise UsageError(f"bad policy spec {spec!r}")
+    if not Path(target).is_file():
+        raise UsageError(f"{kind} file not found: {target}")
+    if kind == "schedule":
+        return real_world_schedule(target, name=Path(target).stem), [target]
+    return policy_from_checkpoint(target), [target]
 
 
 def policy_label(spec: str) -> str:
@@ -208,8 +202,8 @@ def _sha256(path: str) -> str:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     spec = args.policy
-    inputs = [p for p in [args.config] if p] + _policy_file_inputs(spec)
-    policy = load_policy(spec, cfg)
+    policy, policy_files = load_policy(spec, cfg)
+    inputs = [p for p in [args.config] if p] + policy_files
 
     episode = evaluate(policy, EpidemicEnv(cfg), [args.seed])[0]
     out = write_manifest(args, cfg, args.seed, inputs, {"policy": spec})
@@ -230,23 +224,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _policy_file_inputs(spec: str) -> list[str]:
-    for prefix in ("schedule:", "checkpoint:"):
-        if spec.startswith(prefix):
-            target = spec.split(":", 1)[1]
-            if target not in ("7w7l", "uk-approx"):
-                if not Path(target).is_file():
-                    raise UsageError(f"policy file not found: {target}")
-                return [target]
-    return []
-
-
 def cmd_calibrate(args) -> int:
     cfg = resolve_config(args)
     if not Path(args.data).is_file():
         raise UsageError(f"observed data file not found: {args.data}")
     observed = observed_from_csv(args.data)
-    policy = load_policy(args.schedule, cfg)
+    policy, policy_files = load_policy(args.schedule, cfg)
     try:
         pi_lo, pi_hi = (float(x) for x in args.pop_infected_range.split(","))
         b_lo, b_hi = (float(x) for x in args.beta_range.split(","))
@@ -260,7 +243,7 @@ def cmd_calibrate(args) -> int:
         seed=args.seed,
     )
     spec.validate()
-    inputs = [p for p in [args.config, args.data] if p] + _policy_file_inputs(args.schedule)
+    inputs = [p for p in [args.config, args.data] if p] + policy_files
     out = write_manifest(args, cfg, args.seed, inputs, {
         "data": args.data, "trials": args.trials, "replications": args.replications,
         "schedule": args.schedule,
@@ -336,8 +319,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     seeds = parse_seeds(args.seeds)
-    policy = load_policy(args.policy, cfg)
-    inputs = [p for p in [args.config] if p] + _policy_file_inputs(args.policy)
+    policy, policy_files = load_policy(args.policy, cfg)
+    inputs = [p for p in [args.config] if p] + policy_files
 
     episodes = evaluate(policy, EpidemicEnv(cfg), seeds, keep_traces=True)
     out = write_manifest(args, cfg, seeds, inputs, {"policy": args.policy})
@@ -361,16 +344,14 @@ def cmd_compare(args) -> int:
     if len(args.policies) < 2:
         raise UsageError("compare needs at least two --policy specs")
     seeds = parse_seeds(args.seeds)
-    policies = [(policy_label(s), load_policy(s, cfg)) for s in args.policies]
-    labels = [label for label, _ in policies]
+    loaded = [load_policy(s, cfg) for s in args.policies]
+    labels = [policy_label(s) for s in args.policies]
     if len(set(labels)) != len(labels):
         labels = [f"{label}#{i}" for i, label in enumerate(labels)]
-    inputs = [p for p in [args.config] if p]
-    for s in args.policies:
-        inputs.extend(_policy_file_inputs(s))
+    inputs = [p for p in [args.config] if p] + [f for _, files in loaded for f in files]
 
     env = EpidemicEnv(cfg)
-    runs = [(label, evaluate(policy, env, seeds)) for label, (_, policy) in zip(labels, policies)]
+    runs = [(label, evaluate(policy, env, seeds)) for label, (policy, _) in zip(labels, loaded)]
     out = write_manifest(args, cfg, seeds, inputs, {"policies": args.policies})
 
     duration = cfg.disease.infectious_mean

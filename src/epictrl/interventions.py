@@ -112,7 +112,7 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
     st = sim.state
 
     alive = st.epi_state != sim.DEAD
-    eligible = alive & ~st.diagnosed & (st.test_pending_day < 0)
+    eligible = alive & (st.diagnosed_day < 0) & (st.test_pending_day < 0)
     symptomatic = (st.epi_state == sim.I_MILD) | (st.epi_state == sim.I_SEVERE)
 
     new_tests = 0
@@ -128,7 +128,7 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
     new_detections = 0
     if cfg.symp_detection_prob > 0.0 or cfg.severe_detection_prob > 0.0:
         # Re-evaluate eligibility: agents just tested are now pending.
-        detectable = alive & ~st.diagnosed & (st.test_pending_day < 0) & symptomatic
+        detectable = alive & (st.diagnosed_day < 0) & (st.test_pending_day < 0) & symptomatic
         ids = np.nonzero(detectable)[0]
         if len(ids):
             p = np.where(
@@ -161,7 +161,6 @@ def reveal_test_results(sim) -> int:
     st.test_positive[due] = False
     if not len(positive):
         return 0
-    st.diagnosed[positive] = True
     st.diagnosed_day[positive] = sim.day
     return len(positive)
 

@@ -62,19 +62,14 @@ def _state_table(states) -> np.ndarray:
 IS_INFECTIOUS = _state_table(INFECTIOUS_STATES)
 IS_INFECTED = _state_table(INFECTED_STATES)
 
-# Sentinel for "outcome drawn at transition time" in next_state.
-DRAW_AT_TRANSITION = -1
-
 
 @dataclass
 class AgentState:
     """Mutable per-agent epidemic state, one array entry per agent."""
 
     epi_state: np.ndarray            # int8 EpiState
-    state_entry_day: np.ndarray      # int32
     scheduled_day: np.ndarray        # int32, -1 = none
-    next_state: np.ndarray           # int8, -1 = draw at transition
-    diagnosed: np.ndarray            # bool
+    next_state: np.ndarray           # int8 EpiState an infectious agent moves to on its scheduled day
     diagnosed_day: np.ndarray        # int32, -1 = never
     test_pending_day: np.ndarray     # int32, -1 = none (day result returns)
     test_positive: np.ndarray        # bool, result of pending test
@@ -85,10 +80,8 @@ class AgentState:
     def fresh(cls, n: int) -> "AgentState":
         return cls(
             epi_state=np.full(n, EpiState.SUSCEPTIBLE, dtype=np.int8),
-            state_entry_day=np.zeros(n, dtype=np.int32),
             scheduled_day=np.full(n, -1, dtype=np.int32),
-            next_state=np.full(n, DRAW_AT_TRANSITION, dtype=np.int8),
-            diagnosed=np.zeros(n, dtype=bool),
+            next_state=np.full(n, EpiState.SUSCEPTIBLE, dtype=np.int8),
             diagnosed_day=np.full(n, -1, dtype=np.int32),
             test_pending_day=np.full(n, -1, dtype=np.int32),
             test_positive=np.zeros(n, dtype=bool),
@@ -170,7 +163,6 @@ def seed_infections(
         raise ConfigurationError(f"seed count {n_seed} exceeds pop_size {n}")
     seeded = np.sort(seeding_rng.choice(n, size=n_seed, replace=False))
     state.epi_state[seeded] = EpiState.EXPOSED
-    state.state_entry_day[seeded] = 0
     return seeded
 
 
@@ -207,7 +199,7 @@ class Simulation:
         self.state = AgentState.fresh(pop_cfg.pop_size)
         self.day = 0
         self.seeded_ids = seed_infections(self.state, pop_cfg, self.streams["seeding"])
-        self._schedule_latent(self.seeded_ids)
+        self._schedule_latent(self.seeded_ids, 0)
 
         # Community contacts: today's are drawn at the start of each day;
         # yesterday's are kept for contact tracing.
@@ -225,15 +217,17 @@ class Simulation:
 
     # -- duration draws -------------------------------------------------
 
-    def _schedule_latent(self, ids: np.ndarray) -> None:
-        """Schedule E -> infectious transitions (latent period, >= 1 day)."""
+    def _schedule_latent(self, ids: np.ndarray, exposed_day: int) -> None:
+        """Schedule E -> infectious transitions (latent period, >= 1 day).
+
+        The course after E is drawn on the transition day, in _progress.
+        """
         if not len(ids):
             return
         rng = self.streams["progression"]
         dur = rng.lognormal(self._latent_mu, self._latent_sigma, size=len(ids))
         dur = np.maximum(1, np.rint(dur)).astype(np.int32)
-        self.state.scheduled_day[ids] = self.state.state_entry_day[ids] + dur
-        self.state.next_state[ids] = DRAW_AT_TRANSITION
+        self.state.scheduled_day[ids] = exposed_day + dur
 
     def _draw_infectious_duration(self, k: int) -> np.ndarray:
         rng = self.streams["progression"]
@@ -320,7 +314,7 @@ class Simulation:
             p = np.full(len(s), base * self._layer_weight[name], dtype=np.float64)
             p *= self._sus_odds[self.pop.age_bands[d]]
             p[asymp[s]] *= self.pop_cfg.asymp_factor
-            p[st.diagnosed[s]] *= cfg.isolation_transmission_factor
+            p[st.diagnosed_day[s] >= 0] *= cfg.isolation_transmission_factor
             p[quarantined[s]] *= cfg.quarantine_transmission_factor
             p[quarantined[d]] *= cfg.quarantine_susceptibility_factor
             np.clip(p, 0.0, 1.0, out=p)
@@ -332,8 +326,7 @@ class Simulation:
             return np.empty(0, dtype=np.int64)
         new_exposed = np.unique(np.concatenate(hit_chunks))
         st.epi_state[new_exposed] = EpiState.EXPOSED
-        st.state_entry_day[new_exposed] = self.day
-        self._schedule_latent(new_exposed)
+        self._schedule_latent(new_exposed, self.day)
         return new_exposed
 
     def _progress(self) -> tuple[int, int, int]:
@@ -361,7 +354,6 @@ class Simulation:
             st.epi_state[asym] = EpiState.I_ASYMPTOMATIC
             mild = e_ids[symptomatic]
             st.epi_state[mild] = EpiState.I_MILD
-            st.state_entry_day[e_ids] = self.day
 
             plain = e_ids[~severe_course]
             st.scheduled_day[plain] = self.day + dur[~severe_course]
@@ -379,7 +371,6 @@ class Simulation:
             to_severe = inf_ids[st.next_state[inf_ids] == EpiState.I_SEVERE]
             if len(to_severe):
                 st.epi_state[to_severe] = EpiState.I_SEVERE
-                st.state_entry_day[to_severe] = self.day
                 new_severe = len(to_severe)
                 p_death = np.asarray(dc.prob_death_given_severe)[bands[to_severe]]
                 dies = rng.random(len(to_severe)) < p_death
@@ -390,14 +381,12 @@ class Simulation:
             to_recovered = inf_ids[st.next_state[inf_ids] == EpiState.RECOVERED]
             if len(to_recovered):
                 st.epi_state[to_recovered] = EpiState.RECOVERED
-                st.state_entry_day[to_recovered] = self.day
                 st.scheduled_day[to_recovered] = -1
                 new_recovered = len(to_recovered)
 
             to_dead = inf_ids[st.next_state[inf_ids] == EpiState.DEAD]
             if len(to_dead):
                 st.epi_state[to_dead] = EpiState.DEAD
-                st.state_entry_day[to_dead] = self.day
                 st.scheduled_day[to_dead] = -1
                 new_deaths = len(to_dead)
 

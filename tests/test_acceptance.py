@@ -284,7 +284,7 @@ def trained_ppo_policy():
     cfg.env.action_space_kind = "continuous"
     result = train(lambda: EpidemicEnv(cfg), "ppo", "continuous", cfg,
                    total_episodes=PPO_EPISODES, seed=11)
-    return result.agent.policy(), cfg
+    return result.agent, cfg
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epictrl.agents.dqn import DQNAgent
+from epictrl.agents.networks import flat_params
 from epictrl.agents.replay import PRIORITY_FLOOR, PrioritizedBuffer
 from epictrl.config import DqnConfig
 from epictrl.errors import ProtocolError
@@ -156,8 +157,8 @@ class TestDqnUpdate:
         fill_buffer(agent.buffer, 32)
         for step in range(1, 16):
             agent.update()
-            online = agent.q_net.get_flat()
-            target = agent.target_net.get_flat()
+            online = flat_params(agent.q_net.parameters())
+            target = flat_params(agent.target_net.parameters())
             if step % 5 == 0:
                 np.testing.assert_array_equal(online, target)
             else:
@@ -166,10 +167,10 @@ class TestDqnUpdate:
     def test_soft_update_mixes_parameters(self):
         agent = make_agent(target_update_interval=1, tau=0.5)
         fill_buffer(agent.buffer, 32)
-        before_target = agent.target_net.get_flat().copy()
+        before_target = flat_params(agent.target_net.parameters())
         agent.update()
-        after_online = agent.q_net.get_flat()
-        after_target = agent.target_net.get_flat()
+        after_online = flat_params(agent.q_net.parameters())
+        after_target = flat_params(agent.target_net.parameters())
         np.testing.assert_allclose(after_target, 0.5 * after_online + 0.5 * before_target)
 
     def test_epsilon_schedule(self):
@@ -178,6 +179,15 @@ class TestDqnUpdate:
         assert agent.epsilon(0.25) == pytest.approx(0.525)
         assert agent.epsilon(0.5) == pytest.approx(0.05)
         assert agent.epsilon(0.9) == pytest.approx(0.05)
+
+    def test_observe_updates_from_learning_starts(self):
+        agent = make_agent(learning_starts=8, reward_scale=0.5)
+        rng = np.random.default_rng(2)
+        results = [agent.observe(rng.normal(size=4), 3, 2.0, rng.normal(size=4), False) for _ in range(10)]
+        assert results[:7] == [None] * 7
+        assert all("loss" in r for r in results[7:])
+        assert agent.gradient_steps == 3
+        assert (agent.buffer.rewards[:10] == 1.0).all()  # stored scaled by reward_scale
 
     def test_greedy_action_is_argmax(self):
         agent = make_agent()

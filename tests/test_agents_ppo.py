@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epictrl.agents.networks import MLP, Adam, clip_global_norm
+from epictrl.agents.networks import MLP, Adam, clip_global_norm, flat_params, load_flat_params
 from epictrl.agents.ppo import PPOAgent, Rollout, clipped_surrogate, compute_gae
 from epictrl.agents.training import train
 from epictrl.config import FullConfig, PpoConfig
@@ -79,16 +79,16 @@ class TestClippedSurrogate:
 
 
 def finite_difference_grads(agent, batch, h=1e-6):
-    flat = agent.get_flat_params().copy()
+    flat = flat_params(agent.params)
     grads = np.zeros_like(flat)
     for i in range(len(flat)):
         for sign in (+1, -1):
             bumped = flat.copy()
             bumped[i] += sign * h
-            agent.set_flat_params(bumped)
+            load_flat_params(agent.params, bumped)
             loss, _, _ = agent.loss_and_grads(*batch)
             grads[i] += sign * loss
-    agent.set_flat_params(flat)
+    load_flat_params(agent.params, flat)
     return grads / (2 * h)
 
 
@@ -142,9 +142,9 @@ class TestNetworks:
     def test_mlp_flat_round_trip(self):
         rng = np.random.default_rng(0)
         net = MLP((3, 8, 2), rng)
-        flat = net.get_flat()
+        flat = flat_params(net.parameters())
         net2 = MLP((3, 8, 2), np.random.default_rng(1))
-        net2.set_flat(flat)
+        load_flat_params(net2.parameters(), flat)
         x = rng.normal(size=(4, 3))
         np.testing.assert_allclose(net(x), net2(x))
 
@@ -199,16 +199,18 @@ class TestPpoUpdateMechanics:
     def test_update_changes_parameters_and_resets_rollout(self):
         agent = tiny_agent("continuous")
         rng = np.random.default_rng(3)
+        before = flat_params(agent.params)
+        diagnostics = []
         for _ in range(agent.cfg.n_steps):
             obs = rng.normal(size=4)
-            action, extras = agent.act(obs)
-            agent.rollout.add(obs, extras["stored"], extras["log_prob"],
-                              float(rng.normal()), extras["value"], False)
-        before = agent.get_flat_params().copy()
-        diag = agent.update(last_value=0.0)
+            action = agent.act(obs, 0.0)
+            diagnostics.append(agent.observe(obs, action, float(rng.normal()), rng.normal(size=4), False))
+        # observe() updates exactly once, on the step that fills the rollout.
+        assert diagnostics[:-1] == [None] * (agent.cfg.n_steps - 1)
         assert agent.rollout.pos == 0
+        diag = diagnostics[-1]
         assert diag["n_updates"] == agent.cfg.n_epochs * (agent.cfg.n_steps // agent.cfg.batch_size)
-        assert not np.allclose(before, agent.get_flat_params())
+        assert not np.allclose(before, flat_params(agent.params))
 
 
 class TestTrainLoop:

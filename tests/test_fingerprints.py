@@ -4,7 +4,8 @@ Each case hashes ``repr`` of a run's output with SHA-256: the DailyCounts
 series of 133 ``step_day`` calls under one fixed action, of a schedule
 policy's episode with and without activation gating, the per-episode
 returns of short PPO and DQN training runs, and the trial losses of a small
-calibration search. Any change that moves a single random draw or count
+calibration search. The final checkpoint files of those training runs are
+hashed byte for byte. Any change that moves a single random draw or count
 fails here, not only a change that makes two runs in one process disagree.
 
 A deliberate model change re-records every table at once. From the root of
@@ -16,6 +17,8 @@ prints each case's current digest in the layout of the tables below.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -121,17 +124,33 @@ TRAINING_FINGERPRINTS = {
 }
 
 
-def training_digest(kind, space) -> str:
+# SHA-256 of the bytes of the same runs' checkpoint_final.json.
+CHECKPOINT_FINGERPRINTS = {
+    ("dqn", "discrete"): "e694647c7140ffa3652d12bb1141f0ee5c9f5ff468e18dff166e5b65b6bcd91c",
+    ("ppo", "continuous"): "178f317d7d65909bdc76bf485aa5ac9c18e9e417c2015483b2b0d9ffb335e62e",
+}
+
+
+def training_digests(kind, space) -> tuple[str, str]:
+    """Digests of the return curve and of the final checkpoint file."""
     cfg = make_cfg()
     cfg.env.action_space_kind = space
     cfg.ppo.n_steps = 38  # two PPO updates within the five episodes
-    result = train(lambda: EpidemicEnv(cfg), kind, space, cfg, total_episodes=5, seed=3)
-    return digest([float(r) for r in result.curve])
+    with tempfile.TemporaryDirectory() as out:
+        result = train(lambda: EpidemicEnv(cfg), kind, space, cfg, total_episodes=5, seed=3,
+                       checkpoint_dir=out)
+        checkpoint = Path(out, "checkpoint_final.json").read_bytes()
+    return digest([float(r) for r in result.curve]), hashlib.sha256(checkpoint).hexdigest()
 
 
 @pytest.mark.parametrize("kind,space", sorted(TRAINING_FINGERPRINTS))
 def test_training_curve_fingerprint(kind, space):
-    assert training_digest(kind, space) == TRAINING_FINGERPRINTS[(kind, space)]
+    assert training_digests(kind, space)[0] == TRAINING_FINGERPRINTS[(kind, space)]
+
+
+@pytest.mark.parametrize("kind,space", sorted(CHECKPOINT_FINGERPRINTS))
+def test_training_checkpoint_fingerprint(kind, space):
+    assert training_digests(kind, space)[1] == CHECKPOINT_FINGERPRINTS[(kind, space)]
 
 
 SEARCH_FINGERPRINT = "d06eb1129be4c4adb626436d9d330999e2e842b8cab533e032f5402418cf1690"
@@ -167,7 +186,9 @@ def print_current_digests() -> None:
     print(_table("SCHEDULE_FINGERPRINTS", [(key, schedule_digest(*key)) for key in sorted(SCHEDULE_FINGERPRINTS)]))
     infections, value = gated_run()
     print(f'GATED_INFECTIONS, GATED_FINGERPRINT = {infections}, "{value}"')
-    print(_table("TRAINING_FINGERPRINTS", [(key, training_digest(*key)) for key in sorted(TRAINING_FINGERPRINTS)]))
+    training = {key: training_digests(*key) for key in sorted(TRAINING_FINGERPRINTS)}
+    print(_table("TRAINING_FINGERPRINTS", [(key, value[0]) for key, value in training.items()]))
+    print(_table("CHECKPOINT_FINGERPRINTS", [(key, value[1]) for key, value in training.items()]))
     print(f'SEARCH_FINGERPRINT = "{search_digest()}"')
 
 

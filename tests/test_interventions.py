@@ -133,7 +133,6 @@ class TestTesting:
         src = int(sim.seeded_ids[0])
         sim.state.epi_state[src] = EpiState.I_MILD
         sim.state.scheduled_day[src] = 10_000
-        sim.state.diagnosed[src] = True
         sim.state.diagnosed_day[src] = 0
         for _ in range(20):
             counts = sim.step_day(NULL_ACTION)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epictrl.agents import load_checkpoint, policy_from_checkpoint, save_checkpoint, train
+from epictrl.agents.networks import flat_params
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
 from epictrl.env import EpidemicEnv, evaluate, summarize
 from epictrl.interventions import NULL_ACTION
@@ -51,9 +52,9 @@ class TestCheckpointResume:
         result = train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
                        total_episodes=4, seed=3)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(str(path), result.agent, "ppo", "continuous", 3, 4, result.curve)
+        save_checkpoint(str(path), result.agent, "ppo", "continuous", 3, result.curve)
         agent, meta = load_checkpoint(str(path))
-        np.testing.assert_array_equal(agent.get_flat_params(), result.agent.get_flat_params())
+        np.testing.assert_array_equal(flat_params(agent.params), flat_params(result.agent.params))
         assert meta["episodes_trained"] == 4
         assert meta["curve"] == result.curve
 
@@ -71,22 +72,61 @@ class TestCheckpointResume:
         assert resumed.curve[:3] == part.curve
         assert resumed.curve[:3] == full.curve[:3]
 
+    @pytest.mark.parametrize("space", ["continuous", "discrete"])
+    def test_ppo_resumed_at_rollout_boundary_continues_exactly(self, fast_cfg, tmp_path, space):
+        # 4 steps an episode and 8 a rollout: every second episode ends with an
+        # update and an empty rollout, so nothing unsaved is lost.
+        fast_cfg.env.action_space_kind = space
+        factory = lambda: EpidemicEnv(fast_cfg)
+        for name in ("full", "part", "resumed"):
+            (tmp_path / name).mkdir()
+        full = train(factory, "ppo", space, fast_cfg, total_episodes=6, seed=3,
+                     checkpoint_dir=str(tmp_path / "full"))
+        train(factory, "ppo", space, fast_cfg, total_episodes=2, seed=3,
+              checkpoint_dir=str(tmp_path / "part"))
+        resumed = train(factory, "ppo", space, fast_cfg, total_episodes=6, seed=3,
+                        checkpoint_dir=str(tmp_path / "resumed"),
+                        resume_from=str(tmp_path / "part" / "checkpoint_final.json"))
+        assert resumed.curve == [float(r) for r in full.curve]
+        np.testing.assert_array_equal(flat_params(resumed.agent.params), flat_params(full.agent.params))
+        assert (tmp_path / "resumed" / "checkpoint_final.json").read_bytes() == \
+            (tmp_path / "full" / "checkpoint_final.json").read_bytes()
+
+    def test_resumed_checkpoint_counts_every_episode_of_its_curve(self, fast_cfg, tmp_path):
+        factory = lambda: EpidemicEnv(fast_cfg)
+        for name in ("first", "again"):
+            (tmp_path / name).mkdir()
+        train(factory, "ppo", "continuous", fast_cfg, total_episodes=4, seed=3,
+              checkpoint_dir=str(tmp_path / "first"))
+        # Asking for fewer episodes than were trained trains none and keeps the curve.
+        again = train(factory, "ppo", "continuous", fast_cfg, total_episodes=2, seed=3,
+                      checkpoint_dir=str(tmp_path / "again"),
+                      resume_from=str(tmp_path / "first" / "checkpoint_final.json"))
+        assert len(again.curve) == 4
+        _, meta = load_checkpoint(str(tmp_path / "again" / "checkpoint_final.json"))
+        assert meta["episodes_trained"] == len(meta["curve"]) == 4
+
     def test_dqn_checkpoint_round_trip(self, fast_cfg, tmp_path):
         fast_cfg.env.action_space_kind = "discrete"
         result = train(lambda: EpidemicEnv(fast_cfg), "dqn", "discrete", fast_cfg,
                        total_episodes=4, seed=3, checkpoint_dir=str(tmp_path))
         agent, meta = load_checkpoint(str(tmp_path / "checkpoint_final.json"))
-        np.testing.assert_array_equal(agent.q_net.get_flat(), result.agent.q_net.get_flat())
-        np.testing.assert_array_equal(agent.target_net.get_flat(), result.agent.target_net.get_flat())
+        for net in ("q_net", "target_net"):
+            np.testing.assert_array_equal(flat_params(getattr(agent, net).parameters()),
+                                          flat_params(getattr(result.agent, net).parameters()))
         assert agent.gradient_steps == result.agent.gradient_steps
 
-    def test_policy_from_checkpoint_evaluates(self, fast_cfg, tmp_path):
-        train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
-              total_episodes=2, seed=3, checkpoint_dir=str(tmp_path))
+    @pytest.mark.parametrize("kind,space", [("ppo", "continuous"), ("ppo", "discrete"), ("dqn", "discrete")])
+    def test_policy_from_checkpoint_evaluates(self, fast_cfg, tmp_path, kind, space):
+        fast_cfg.env.action_space_kind = space
+        result = train(lambda: EpidemicEnv(fast_cfg), kind, space, fast_cfg,
+                       total_episodes=2, seed=3, checkpoint_dir=str(tmp_path))
         policy = policy_from_checkpoint(str(tmp_path / "checkpoint_final.json"))
         env = EpidemicEnv(fast_cfg)
         episodes = evaluate(policy, env, [7])
         assert len(episodes[0].series) == fast_cfg.env.episode_days
+        # The loaded agent acts greedily, exactly as the trained one does.
+        assert episodes[0].series == evaluate(result.agent, env, [7])[0].series
 
     def test_periodic_checkpoints_written(self, fast_cfg, tmp_path):
         train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
