@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ def train(
 
     agent_kind is "ppo" (either space) or "dqn" (discrete only). Returns the
     trained agent and the per-episode raw return curve. When checkpoint_dir
-    is given, checkpoints are written every checkpoint_every episodes and at
-    the end.
+    is given, it is created if missing, before the first episode, and
+    checkpoints are written every checkpoint_every episodes and at the end.
     """
     if agent_kind not in ("ppo", "dqn"):
         raise ConfigurationError(f"unknown agent kind {agent_kind!r}")
@@ -94,6 +95,9 @@ def train(
         seed = meta["master_seed"]
     else:
         agent = make_agent(agent_kind, space_kind, obs_dim, _env_actions(env), config, seed)
+
+    if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
 
     steps_per_episode = env.n_steps_per_episode
     total_steps_planned = max(1, total_episodes * steps_per_episode)

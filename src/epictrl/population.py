@@ -2,10 +2,13 @@
 
 The three static layers are full cliques within groups whose sizes are chosen
 so the mean within-group contact count matches the configured layer contact
-means. The community layer is not built here: each simulated day draws a new
-CommunityDay (see simulator.Simulation), a circulant graph over a random
-relabelling of the agents that answers "who met these agents" without
-listing the day's edges.
+means. Each is a CSR edge list built in one vectorised pass: an agent's
+contacts are its group's ascending members rotated to start just after it,
+the order a stable sort by source of both directions of every
+``np.triu_indices`` pair would give. The community layer is not built here:
+each simulated day draws a new CommunityDay (see simulator.Simulation), a
+circulant graph over a random relabelling of the agents that answers "who
+met these agents" without listing the day's edges.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class Layer:
     src/dst hold both directions of every undirected contact, sorted by src,
     and indptr has one entry per agent plus one: the edges leaving agent i
     are ``indptr[i]:indptr[i + 1]``, so its contacts are that slice of dst.
+    For a clique layer that slice is the rest of i's group, ascending from
+    just after i and wrapping round (see _clique_layer).
     """
 
     name: str
@@ -156,48 +161,40 @@ def _partition_into_groups(members: np.ndarray, mean_contacts: float, rng: np.ra
     n_groups = max(1, int(round(n / target)))
     order = rng.permutation(n)
     bounds = np.linspace(0, n, n_groups + 1).astype(np.int64)
-    for g in range(n_groups):
-        group_of[order[bounds[g]:bounds[g + 1]]] = g
+    group_of[order] = np.repeat(np.arange(n_groups), np.diff(bounds))
     return group_of
 
 
-def _clique_edges(members_by_group: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Both-direction edge arrays for full cliques within each group."""
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # group size -> its triu indices
-    for ids in members_by_group.values():
-        k = len(ids)
-        if k < 2:
-            continue
-        if k not in pairs:
-            pairs[k] = np.triu_indices(k, k=1)
-        a, b = pairs[k]
-        srcs.append(ids[a])
-        dsts.append(ids[b])
-    if not srcs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    u = np.concatenate(srcs)
-    v = np.concatenate(dsts)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.argsort(src, kind="stable")
-    return src[order], dst[order]
+def _clique_layer(name: str, ids: np.ndarray, group_of: np.ndarray, n: int) -> Layer:
+    """Full cliques within each group of the ascending ``ids``, as a CSR layer over n agents.
 
-
-def _group_members(ids: np.ndarray, group_of: np.ndarray) -> dict[int, np.ndarray]:
-    """Members of each group, in their order within ``ids``, keyed by ascending group."""
-    order = np.argsort(group_of, kind="stable")
-    groups, starts = np.unique(group_of[order], return_index=True)
-    return dict(zip(groups.tolist(), np.split(ids[order], starts[1:])))
-
-
-def _row_index(src: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers of a src-sorted edge list over n agents."""
+    The agent at position p among its group's ascending members
+    m_0 < ... < m_{k-1} has the contacts m_{p+1}, ..., m_{k-1}, m_0, ...,
+    m_{p-1}: its group rotated to start just after it. Laying each group out
+    twice makes that rotation one contiguous run, so the edges are written
+    in src order directly and no edge list is ever sorted.
+    """
+    m = len(ids)
+    # Positions sorted by (group, position), through one unique key each.
+    key = np.sort(group_of * m + np.arange(m))
+    group_sorted = key // m
+    position = key - group_sorted * m
+    size = np.bincount(group_sorted)
+    # A group of k members starting at sorted rank s lies in twice[2s:2s + 2k],
+    # ascending and then again, so the agent at rank r finds its k - 1
+    # contacts from twice[r + s + 1] on.
+    slot = np.arange(m) + (np.cumsum(size) - size)[group_sorted]
+    twice = np.empty(2 * m, dtype=np.int64)
+    twice[slot] = twice[slot + size[group_sorted]] = ids[position]
+    first = np.empty(m, dtype=np.int64)
+    first[position] = slot + 1
+    degree = size[group_of] - 1
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr
+    indptr[ids + 1] = degree
+    np.cumsum(indptr, out=indptr)
+    # Edge e of agent i lies e - indptr[i] past its first contact.
+    dst = twice[np.repeat(first - indptr[ids], degree) + np.arange(indptr[-1])]
+    return Layer(name=name, src=np.repeat(ids, degree), dst=dst, indptr=indptr)
 
 
 def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generator) -> Population:
@@ -239,8 +236,7 @@ def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generato
         ("school", school_members, school_group),
         ("work", work_members, work_group),
     ):
-        src, dst = _clique_edges(_group_members(ids, groups))
-        layers[name] = Layer(name=name, src=src, dst=dst, indptr=_row_index(src, n))
+        layers[name] = _clique_layer(name, ids, groups, n)
 
     return Population(
         ages=ages,

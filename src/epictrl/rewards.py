@@ -59,14 +59,14 @@ def action_penalty(a_t: Action, a_prev: Action) -> float:
 
     Per component with difference d: -100 * (d - 0.2) when d > 0.2, else 0;
     the three componentwise penalties are summed. The environment applies it
-    only in the continuous action space.
+    only in the continuous action space. Returns a Python float.
     """
     total = 0.0
     for curr, prev in zip(a_t.as_array(), a_prev.as_array()):
         d = abs(curr - prev)
         if d > PENALTY_DEADBAND:
             total -= PENALTY_SLOPE * (d - PENALTY_DEADBAND)
-    return total
+    return float(total)
 
 
 def combine(r_h: float, r_e_scaled: float, w: RewardWeights, r_p: float | None = None) -> float:

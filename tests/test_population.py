@@ -5,7 +5,7 @@ import pytest
 
 from epictrl.config import PopulationConfig
 from epictrl.errors import ConfigurationError
-from epictrl.population import CommunityDay, _group_members, community_offsets, synthesize_population
+from epictrl.population import CommunityDay, _partition_into_groups, community_offsets, synthesize_population
 from epictrl.rng import substream
 
 
@@ -131,14 +131,75 @@ def test_edges_from_matches_per_agent_scan():
     assert len(not_working) and not len(pop.layers["work"].edges_from(not_working))
 
 
-def test_group_members_keep_member_order():
-    rng = np.random.default_rng(0)
-    ids = rng.permutation(60)
-    group_of = rng.integers(0, 9, size=60)
-    members = _group_members(ids, group_of)
-    assert list(members) == sorted(set(group_of.tolist()))
-    for g, got in members.items():
-        np.testing.assert_array_equal(got, ids[group_of == g])
+def loop_partition(members, mean_contacts, rng):
+    """Group assignment written group by group, as the construction was first written."""
+    n = len(members)
+    group_of = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return group_of
+    n_groups = max(1, int(round(n / (mean_contacts + 1.0))))
+    order = rng.permutation(n)
+    bounds = np.linspace(0, n, n_groups + 1).astype(np.int64)
+    for g in range(n_groups):
+        group_of[order[bounds[g]:bounds[g + 1]]] = g
+    return group_of
+
+
+def sorted_clique_layer(ids, group_of, n):
+    """(src, dst, indptr) of full cliques per group, built by sorting the edge list.
+
+    Each group's ascending members give their np.triu_indices pairs; both
+    directions are stacked and stably sorted by src, and the row index is a
+    bincount of src.
+    """
+    order = np.argsort(group_of, kind="stable")
+    _, starts = np.unique(group_of[order], return_index=True)
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    pairs = {}  # group size -> its triu indices
+    for members in np.split(ids[order], starts[1:]) if len(ids) else []:
+        k = len(members)
+        if k not in pairs:
+            pairs[k] = np.triu_indices(k, k=1)
+        a, b = pairs[k]
+        us.append(members[a])
+        vs.append(members[b])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    by_src = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return src[by_src], dst[by_src], indptr
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 999])
+@pytest.mark.parametrize("mean_contacts", [0.01, 1.0, 3.3, 60.0])
+def test_partition_matches_group_by_group_loop(n, mean_contacts):
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    got = _partition_into_groups(np.arange(n), mean_contacts, a)
+    expected = loop_partition(np.arange(n), mean_contacts, b)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("overrides", [
+    {"pop_size": 2}, {"pop_size": 3}, {"pop_size": 50}, {"pop_size": 400}, {"pop_size": 2_000},
+    {"pop_size": 10_000}, {"pop_size": 100_000},
+    {"pop_size": 5_000, "contacts_h": 0.2, "contacts_s": 1.0, "contacts_w": 0.01},
+    {"pop_size": 3_000, "contacts_w": 60.0},
+])
+def test_clique_layers_equal_sorted_edge_list(overrides):
+    cfg = PopulationConfig(total_pop=overrides["pop_size"], **overrides)
+    n = cfg.pop_size
+    for seed in range(3):
+        pop = build(cfg, seed)
+        for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
+            ids = np.flatnonzero(group_id >= 0)
+            layer = pop.layers[name]
+            for got, expected in zip((layer.src, layer.dst, layer.indptr),
+                                     sorted_clique_layer(ids, group_id[ids].astype(np.int64), n)):
+                assert got.dtype == expected.dtype == np.int64
+                np.testing.assert_array_equal(got, expected)
 
 
 def community_day(n, contacts, seed=0) -> CommunityDay:

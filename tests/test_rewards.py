@@ -108,6 +108,11 @@ class TestActionPenalty:
         b = Action(1.0, 0.5, 0.1)  # d = (0.5, 0.5, 0.1)
         assert action_penalty(b, a) == pytest.approx(-30.0 - 30.0 + 0.0)
 
+    def test_returns_python_float(self):
+        a = Action(0.5, 0.0, 0.0)
+        assert type(action_penalty(a, a)) is float
+        assert type(action_penalty(Action(1.0, 0.5, 0.1), a)) is float
+
     @given(d=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_piecewise_linear_continuity(self, d):

@@ -7,7 +7,7 @@ from epictrl.agents import load_checkpoint, policy_from_checkpoint, save_checkpo
 from epictrl.agents.networks import flat_params
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
 from epictrl.env import EpidemicEnv, evaluate, summarize
-from epictrl.interventions import NULL_ACTION
+from epictrl.interventions import NULL_ACTION, Action
 from epictrl.simulator import Simulation
 
 
@@ -78,8 +78,6 @@ class TestCheckpointResume:
         # update and an empty rollout, so nothing unsaved is lost.
         fast_cfg.env.action_space_kind = space
         factory = lambda: EpidemicEnv(fast_cfg)
-        for name in ("full", "part", "resumed"):
-            (tmp_path / name).mkdir()
         full = train(factory, "ppo", space, fast_cfg, total_episodes=6, seed=3,
                      checkpoint_dir=str(tmp_path / "full"))
         train(factory, "ppo", space, fast_cfg, total_episodes=2, seed=3,
@@ -87,15 +85,14 @@ class TestCheckpointResume:
         resumed = train(factory, "ppo", space, fast_cfg, total_episodes=6, seed=3,
                         checkpoint_dir=str(tmp_path / "resumed"),
                         resume_from=str(tmp_path / "part" / "checkpoint_final.json"))
-        assert resumed.curve == [float(r) for r in full.curve]
+        assert repr(resumed.curve) == repr(full.curve)
+        assert all(type(r) is float for r in full.curve)
         np.testing.assert_array_equal(flat_params(resumed.agent.params), flat_params(full.agent.params))
         assert (tmp_path / "resumed" / "checkpoint_final.json").read_bytes() == \
             (tmp_path / "full" / "checkpoint_final.json").read_bytes()
 
     def test_resumed_checkpoint_counts_every_episode_of_its_curve(self, fast_cfg, tmp_path):
         factory = lambda: EpidemicEnv(fast_cfg)
-        for name in ("first", "again"):
-            (tmp_path / name).mkdir()
         train(factory, "ppo", "continuous", fast_cfg, total_episodes=4, seed=3,
               checkpoint_dir=str(tmp_path / "first"))
         # Asking for fewer episodes than were trained trains none and keeps the curve.
@@ -127,6 +124,22 @@ class TestCheckpointResume:
         assert len(episodes[0].series) == fast_cfg.env.episode_days
         # The loaded agent acts greedily, exactly as the trained one does.
         assert episodes[0].series == evaluate(result.agent, env, [7])[0].series
+
+    def test_missing_checkpoint_dir_is_created_before_training(self, fast_cfg, tmp_path):
+        checkpoint_dir = tmp_path / "new" / "deeper"
+        result = train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg, total_episodes=1, seed=3,
+                       checkpoint_dir=str(checkpoint_dir))
+        assert load_checkpoint(str(checkpoint_dir / "checkpoint_final.json"))[1]["curve"] == result.curve
+
+    def test_continuous_rewards_and_curve_are_python_floats(self, fast_cfg):
+        fast_cfg.env.activation_threshold = 0  # apply the actions from day 0, so the penalty is not always 0
+        env = EpidemicEnv(fast_cfg)
+        env.reset(3)
+        for action in (Action(1.0, 0.0, 0.0), Action(0.2, 0.9, 0.9), Action(0.2, 0.9, 0.9)):
+            assert type(env.step(action)[1]) is float
+        curve = train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
+                      total_episodes=3, seed=3).curve
+        assert all(type(r) is float for r in curve)
 
     def test_periodic_checkpoints_written(self, fast_cfg, tmp_path):
         train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
