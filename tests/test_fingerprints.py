@@ -32,12 +32,16 @@ from tests.episodes import ungated_series
 from tests.test_calibration import cheap_setup, synthetic_observed
 
 N_DAYS = 133
-ACTIONS = {"null": NULL_ACTION, "mixed": Action(0.75, 0.5, 0.5)}
+# "trace-heavy" quarantines many contacts, so quarantined agents sit at both
+# ends of transmission candidates and diagnosed agents transmit.
+ACTIONS = {"null": NULL_ACTION, "mixed": Action(0.75, 0.5, 0.5), "trace-heavy": Action(0.5, 0.75, 0.75)}
 # Share of agents ever infected that shows the epidemic took off: for the
 # mixed action, five times the seeded share. At 2k agents about a fifth of
 # seeds stay below it under the mixed action, so the pinned 2k mixed seeds
-# are 0, 1 and 3: seed 2 infects 39 agents (1.95%).
-INFECTED_FLOOR = {"null": 0.5, "mixed": 0.025}
+# are 0, 1 and 3: seed 2 infects 39 agents (1.95%). The trace-heavy action
+# holds every seed small, so its floor is three times the seeded share and
+# its pinned seeds are 1 (63 agents) and 3 (36).
+INFECTED_FLOOR = {"null": 0.5, "mixed": 0.025, "trace-heavy": 0.015}
 
 FINGERPRINTS = {
     (2000, 10, "mixed", 0): "6ca2416b25c55d6fafd3beee40c7f6a9880fc0e888a04832700bdfb57ed0e6a2",
@@ -46,6 +50,8 @@ FINGERPRINTS = {
     (2000, 10, "null", 0): "6fcd9561654655cf0f76d14406c3c4824e2ca1e7f58d4bdb5eadaee69f99a2bd",
     (2000, 10, "null", 1): "fc343801620885dae0684c567d18263ef6a5037a8fb8b02559de4271de72d36f",
     (2000, 10, "null", 2): "acfe5c0a851719bc05725fbeeb2099cca821670cb3c91d34bfd7c67828e5926a",
+    (2000, 10, "trace-heavy", 1): "96825b717d3a49bdbd57877f95a356a544836a65bcd007e74011bac3eb5c8f3f",
+    (2000, 10, "trace-heavy", 3): "8b1bdf81dae089ff973efe93fe2a8e2636b78d27fb7ddaf7ed380e8ce13d45e7",
     (10000, 50, "mixed", 0): "3bce691add8a7d711ce340e8cd5383d55b4ea257a6d8428c71cc6f6768b8e449",
     (10000, 50, "mixed", 1): "db0613e6f60572146e5509cb2231d196fc53a77a52c4f7e60dd12d0046ecaa3d",
     (10000, 50, "mixed", 2): "d39c788ac48ab0abd9dd0a2aa2fe3fc45dc955d8117f1b6f8de3470483ce8afb",
@@ -67,9 +73,21 @@ def make_cfg(agents: int = 2000, seeded: int = 10) -> FullConfig:
     return cfg
 
 
-def series_run(agents, seeded, action, seed) -> tuple[int, str]:
+# 2k agents, ten seeded, at a community mean of 7.3: three full offsets and
+# a partial one that joins only some slots. Seed 0 under the mixed action
+# infects 33 agents, below the floor.
+COMMUNITY_FINGERPRINTS = {
+    (7.3, "mixed", 1): "175e01872af845edaa6e120577821e5bf3cf0ead7943c940b24323f3c30d5f44",
+    (7.3, "null", 0): "fb27f9707bb18b8702f852be09961b4f878cd6a694f02e19a91683d29cdd163e",
+    (7.3, "null", 1): "e69d4803e82e0d8ab165348b6352427faa854a276a5ed2b5f25194e6b3153cae",
+}
+
+
+def series_run(agents, seeded, action, seed, contacts_c=None) -> tuple[int, str]:
     """Agents ever infected and the series digest of one fixed-action run."""
     cfg = make_cfg(agents, seeded)
+    if contacts_c is not None:
+        cfg.population.contacts_c = contacts_c
     sim = Simulation(cfg.population, cfg.disease, cfg.interventions, seed)
     series = [sim.step_day(ACTIONS[action]) for _ in range(N_DAYS)]
     return agents - series[-1].S, digest(series)
@@ -80,6 +98,13 @@ def test_series_fingerprint(agents, seeded, action, seed):
     infected, value = series_run(agents, seeded, action, seed)
     assert infected > INFECTED_FLOOR[action] * agents, "the epidemic did not take off"
     assert value == FINGERPRINTS[(agents, seeded, action, seed)]
+
+
+@pytest.mark.parametrize("contacts_c,action,seed", sorted(COMMUNITY_FINGERPRINTS))
+def test_community_mean_fingerprint(contacts_c, action, seed):
+    infected, value = series_run(2000, 10, action, seed, contacts_c)
+    assert infected > INFECTED_FLOOR[action] * 2000, "the epidemic did not take off"
+    assert value == COMMUNITY_FINGERPRINTS[(contacts_c, action, seed)]
 
 
 SCHEDULES = {"7w7l": seven_work_seven_lockdown, "uk-approx": uk_approximation_schedule}
@@ -183,6 +208,8 @@ def print_current_digests() -> None:
         rows.append((key, value))
         print(f"# {key}: {infected} agents infected")
     print(_table("FINGERPRINTS", rows))
+    print(_table("COMMUNITY_FINGERPRINTS",
+                 [(key, series_run(2000, 10, key[1], key[2], key[0])[1]) for key in sorted(COMMUNITY_FINGERPRINTS)]))
     print(_table("SCHEDULE_FINGERPRINTS", [(key, schedule_digest(*key)) for key in sorted(SCHEDULE_FINGERPRINTS)]))
     infections, value = gated_run()
     print(f'GATED_INFECTIONS, GATED_FINGERPRINT = {infections}, "{value}"')
