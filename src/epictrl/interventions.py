@@ -150,19 +150,17 @@ def _schedule_results(sim, ids: np.ndarray, reveal_day: int) -> None:
     st.test_positive[ids] = sim.IS_INFECTED[st.epi_state[ids]]
 
 
-def reveal_test_results(sim) -> int:
-    """Turn today's due positive results into diagnoses; returns count."""
+def reveal_test_results(sim) -> np.ndarray:
+    """Turn today's due positive results into diagnoses; returns the ids diagnosed, ascending."""
     st = sim.state
-    due = np.nonzero(st.test_pending_day == sim.day)[0]
+    due = np.flatnonzero(st.test_pending_day == sim.day)
     if not len(due):
-        return 0
+        return due
     st.test_pending_day[due] = -1
     positive = due[st.test_positive[due] & (st.epi_state[due] != sim.DEAD)]
     st.test_positive[due] = False
-    if not len(positive):
-        return 0
     st.diagnosed_day[positive] = sim.day
-    return len(positive)
+    return positive
 
 
 def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:

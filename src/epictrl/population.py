@@ -13,6 +13,7 @@ met these agents" without listing the day's edges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,15 @@ def community_offsets(n: int, contacts: float) -> tuple[int, int]:
     return full, partial
 
 
+@functools.lru_cache(maxsize=1)
+def _slot_numbers(n: int) -> np.ndarray:
+    """np.arange(n), read-only and kept between calls: a fresh one each day
+    costs more at 100k agents than the scatter that inverts the permutation."""
+    slots = np.arange(n)
+    slots.flags.writeable = False
+    return slots
+
+
 @dataclass
 class CommunityDay:
     """One day's community contacts: a circulant graph on relabelled agents.
@@ -99,7 +109,7 @@ class CommunityDay:
         """Draw the relabelling, then the offsets, as sized by community_offsets."""
         agent_at = rng.permutation(n)
         slot_of = np.empty(n, dtype=np.int64)
-        slot_of[agent_at] = np.arange(n)
+        slot_of[agent_at] = _slot_numbers(n)
         offsets = rng.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
         return cls(agent_at, slot_of, offsets, partial)
 
@@ -113,21 +123,21 @@ class CommunityDay:
         """
         ids = np.asarray(ids, dtype=np.int64)
         n = len(self.agent_at)
-        slots = self.slot_of[ids][:, None]
-        forward = slots + self.offsets
-        forward[forward >= n] -= n
-        backward = slots - self.offsets
-        backward[backward < 0] += n
-        # Columns: +o1, -o1, +o2, -o2, ... per id.
-        nbr = np.stack([forward, backward], axis=2).reshape(len(ids), 2 * len(self.offsets))
-        src = np.broadcast_to(ids[:, None], nbr.shape)
+        # Columns: +o1, -o1, +o2, -o2, ... per id; a step back by o is a step
+        # forward by n - o, so every column wraps the same way.
+        steps = np.repeat(self.offsets, 2)
+        steps[1::2] = n - self.offsets
+        slots = self.slot_of[ids]
+        nbr = slots[:, None] + steps
+        np.subtract(nbr, n, out=nbr, where=nbr >= n)
+        src = np.repeat(ids, len(steps))
         if self.partial_edges:
             m = self.partial_edges
             exists = np.ones(nbr.shape, dtype=bool)
-            exists[:, -2] = slots[:, 0] < m
+            exists[:, -2] = slots < m
             exists[:, -1] = nbr[:, -1] < m
-            return src[exists], self.agent_at[nbr[exists]]
-        return src.ravel(), self.agent_at[nbr.ravel()]
+            return src[exists.ravel()], self.agent_at[nbr[exists]]
+        return src, self.agent_at[nbr.ravel()]
 
 
 @dataclass

@@ -15,6 +15,14 @@ anew every day as a circulant graph over a random relabelling of the agents
 the agents they concern only, so a day's cost follows the epidemic rather
 than the number of community pairs.
 
+A day's transmission is one pass over all layers at once: every (infectious
+source, susceptible target) contact is a candidate, its infection
+probability is read from a small table indexed by layer, source key
+(asymptomatic, diagnosed, quarantined) and target key (age band,
+quarantined), and one uniform draw per candidate decides it. The table holds
+the same float64 products a per-candidate computation would make, in the
+same order, and is rebuilt only when the lockdown level changes.
+
 Everything stochastic draws from named substreams of a single master seed
 in a fixed order, which makes whole runs bit-reproducible.
 """
@@ -29,10 +37,10 @@ from enum import IntEnum
 import numpy as np
 
 from . import interventions as iv
-from .config import DiseaseConfig, InterventionConfig, PopulationConfig
+from .config import N_AGE_BANDS, DiseaseConfig, InterventionConfig, PopulationConfig
 from .errors import ConfigurationError
 from .interventions import Action
-from .population import CommunityDay, Population, community_offsets, synthesize_population
+from .population import LAYER_NAMES, CommunityDay, Population, community_offsets, synthesize_population
 from .rng import all_substreams
 
 logger = logging.getLogger(__name__)
@@ -48,6 +56,11 @@ class EpiState(IntEnum):
     DEAD = 6
 
 
+# Plain ints for array code: numpy casts an int8 array compared with an
+# IntEnum member (4x slower at 2k agents, 10x at 100k), and each member
+# lookup goes through the enum's __getattr__.
+SUSCEPTIBLE, EXPOSED, I_ASYMPTOMATIC, I_MILD, I_SEVERE, RECOVERED, DEAD = map(int, EpiState)
+
 INFECTIOUS_STATES = (EpiState.I_ASYMPTOMATIC, EpiState.I_MILD, EpiState.I_SEVERE)
 INFECTED_STATES = (EpiState.EXPOSED,) + INFECTIOUS_STATES
 
@@ -59,8 +72,24 @@ def _state_table(states) -> np.ndarray:
     return table
 
 
-IS_INFECTIOUS = _state_table(INFECTIOUS_STATES)
 IS_INFECTED = _state_table(INFECTED_STATES)
+
+
+def _infectious(states: np.ndarray) -> np.ndarray:
+    """Mask of the infectious states, which are the contiguous I_ASYMPTOMATIC..I_SEVERE.
+
+    Two comparisons cost a tenth of a lookup-table gather at 100k agents.
+    """
+    return (states >= I_ASYMPTOMATIC) & (states <= I_SEVERE)
+
+
+# Transmission probability table (see Simulation._probability_table): the
+# layers in candidate order, eight source keys a + 2 g + 4 q (asymptomatic,
+# diagnosed, quarantined) and 2 * N_AGE_BANDS target keys 2 b + r (age band,
+# quarantined). Entry (layer * 8 + source key) * TARGET_KEYS + target key.
+TRANSMISSION_LAYERS = LAYER_NAMES + ("community",)
+TARGET_KEYS = 2 * N_AGE_BANDS
+LAYER_STRIDE = 8 * TARGET_KEYS
 
 
 @dataclass
@@ -79,9 +108,9 @@ class AgentState:
     @classmethod
     def fresh(cls, n: int) -> "AgentState":
         return cls(
-            epi_state=np.full(n, EpiState.SUSCEPTIBLE, dtype=np.int8),
+            epi_state=np.full(n, SUSCEPTIBLE, dtype=np.int8),
             scheduled_day=np.full(n, -1, dtype=np.int32),
-            next_state=np.full(n, EpiState.SUSCEPTIBLE, dtype=np.int8),
+            next_state=np.full(n, SUSCEPTIBLE, dtype=np.int8),
             diagnosed_day=np.full(n, -1, dtype=np.int32),
             test_pending_day=np.full(n, -1, dtype=np.int32),
             test_positive=np.zeros(n, dtype=bool),
@@ -162,7 +191,7 @@ def seed_infections(
     if n_seed > n:
         raise ConfigurationError(f"seed count {n_seed} exceeds pop_size {n}")
     seeded = np.sort(seeding_rng.choice(n, size=n_seed, replace=False))
-    state.epi_state[seeded] = EpiState.EXPOSED
+    state.epi_state[seeded] = EXPOSED
     return seeded
 
 
@@ -170,9 +199,9 @@ class Simulation:
     """One self-contained simulation run with its own random substreams."""
 
     # Class-level aliases so the interventions module can stay import-free.
-    DEAD = int(EpiState.DEAD)
-    I_MILD = int(EpiState.I_MILD)
-    I_SEVERE = int(EpiState.I_SEVERE)
+    DEAD = DEAD
+    I_MILD = I_MILD
+    I_SEVERE = I_SEVERE
     IS_INFECTED = IS_INFECTED
 
     def __init__(
@@ -212,8 +241,10 @@ class Simulation:
         self.cum_diagnoses = 0
         self.cum_infections = len(self.seeded_ids)  # seeded agents count as infected
 
-        self._sus_odds = np.asarray(pop_cfg.sus_odds_ratios, dtype=np.float64)
-        self._layer_weight = dict(zip(("household", "school", "work", "community"), pop_cfg.layer_weights))
+        # Today's transmission probability table and the lockdown level it
+        # was built for.
+        self._p_table_beta: float | None = None
+        self._p_table = np.empty(0)
 
     # -- duration draws -------------------------------------------------
 
@@ -251,8 +282,8 @@ class Simulation:
 
         # Interventions: reveal due results, trace today's diagnoses, then
         # administer today's tests (results return after the test delay).
-        new_diagnoses = iv.reveal_test_results(self)
-        diagnosed_today = np.nonzero(st.diagnosed_day == day)[0]
+        diagnosed_today = iv.reveal_test_results(self)
+        new_diagnoses = len(diagnosed_today)
         new_quarantined = iv.run_tracing(self, action.ch_ctp, diagnosed_today)
         new_tests, _ = iv.run_testing(self, action.ch_tp)
 
@@ -276,6 +307,11 @@ class Simulation:
     def _transmit(self, ch_beta: float) -> np.ndarray:
         """One transmission sweep with state frozen at the start of the day.
 
+        The candidates are every (infectious source, susceptible target)
+        contact, in the order of the layers (TRANSMISSION_LAYERS), then of
+        the sources, then of each source's contacts. Each is infected when
+        its own uniform draw falls below its probability in the table.
+
         Returns the ids newly exposed today (each at most once, even when
         hit through several layers).
         """
@@ -284,50 +320,73 @@ class Simulation:
             return np.empty(0, dtype=np.int64)
 
         epi = st.epi_state
-        infectious_ids = np.flatnonzero(IS_INFECTIOUS[epi])
+        infectious_ids = np.flatnonzero(_infectious(epi))
         if not len(infectious_ids):
             return np.empty(0, dtype=np.int64)
-        susceptible = epi == EpiState.SUSCEPTIBLE
-        quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
+        susceptible = epi == SUSCEPTIBLE
 
-        base = iv.apply_lockdown(ch_beta, self.pop_cfg.beta_initial)
-        asymp = epi == EpiState.I_ASYMPTOMATIC
-        cfg = self.int_cfg
-
-        # Candidate (infectious src, susceptible dst) contacts of each layer,
-        # gathered for today's infectious agents only, in the order of the
-        # agents and then of each agent's contacts.
-        candidates: list[tuple[str, np.ndarray, np.ndarray]] = []
-        for name, layer in self.pop.layers.items():
+        src_chunks: list[np.ndarray] = []
+        dst_chunks: list[np.ndarray] = []
+        for layer in self.pop.layers.values():
             e = layer.edges_from(infectious_ids)
             e = e[susceptible[layer.dst[e]]]
-            candidates.append((name, layer.src[e], layer.dst[e]))
+            src_chunks.append(layer.src[e])
+            dst_chunks.append(layer.dst[e])
         c_src, c_dst = self.community.contacts(infectious_ids)
         keep = susceptible[c_dst]
-        candidates.append(("community", c_src[keep], c_dst[keep]))
-
-        hit_chunks: list[np.ndarray] = []
-        rng = self.streams["transmission"]
-        for name, s, d in candidates:
-            if not len(s):
-                continue
-            p = np.full(len(s), base * self._layer_weight[name], dtype=np.float64)
-            p *= self._sus_odds[self.pop.age_bands[d]]
-            p[asymp[s]] *= self.pop_cfg.asymp_factor
-            p[st.diagnosed_day[s] >= 0] *= cfg.isolation_transmission_factor
-            p[quarantined[s]] *= cfg.quarantine_transmission_factor
-            p[quarantined[d]] *= cfg.quarantine_susceptibility_factor
-            np.clip(p, 0.0, 1.0, out=p)
-            hits = d[rng.random(len(p)) < p]
-            if len(hits):
-                hit_chunks.append(hits)
-
-        if not hit_chunks:
+        src_chunks.append(c_src[keep])
+        dst_chunks.append(c_dst[keep])
+        dst = np.concatenate(dst_chunks)
+        if not len(dst):
             return np.empty(0, dtype=np.int64)
-        new_exposed = np.unique(np.concatenate(hit_chunks))
-        st.epi_state[new_exposed] = EpiState.EXPOSED
+
+        if ch_beta != self._p_table_beta:
+            self._p_table_beta, self._p_table = ch_beta, self._probability_table(ch_beta)
+        quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
+        target_key = self.pop.age_bands * 2 + quarantined
+        # Keys are read only at sources, which are all infectious.
+        source_key = np.zeros(len(epi), dtype=np.int16)
+        source_key[infectious_ids] = TARGET_KEYS * (
+            (epi[infectious_ids] == I_ASYMPTOMATIC)
+            + 2 * (st.diagnosed_day[infectious_ids] >= 0)
+            + 4 * quarantined[infectious_ids]
+        )
+        entry = np.repeat(np.arange(len(TRANSMISSION_LAYERS)) * LAYER_STRIDE, [len(d) for d in dst_chunks])
+        entry += source_key[np.concatenate(src_chunks)]
+        entry += target_key[dst]
+        p = self._p_table[entry]
+        new_exposed = dst[self.streams["transmission"].random(len(p)) < p]
+        if not len(new_exposed):
+            return np.empty(0, dtype=np.int64)
+        new_exposed = np.unique(new_exposed)
+        st.epi_state[new_exposed] = EXPOSED
         self._schedule_latent(new_exposed, self.day)
         return new_exposed
+
+    def _probability_table(self, ch_beta: float) -> np.ndarray:
+        """Per-contact infection probability for every (layer, source key, target key), flattened.
+
+        The factors apply in a fixed order: the locked-down base rate times
+        the layer weight, the target's susceptibility odds, then the
+        asymptomatic, isolation (diagnosed) and quarantine factors of the
+        source and the quarantine factor of the target, and last a clip to
+        [0, 1]. A factor that does not apply multiplies by 1.0, which is
+        exact, so each entry is bit for bit the product a candidate with
+        those keys would get on its own.
+        """
+        pc, ic = self.pop_cfg, self.int_cfg
+        base = iv.apply_lockdown(ch_beta, pc.beta_initial)
+        weight = dict(zip(TRANSMISSION_LAYERS, pc.layer_weights))
+        # Axes: layer, source key, age band, target quarantined.
+        p = np.array([base * weight[name] for name in (*self.pop.layers, "community")])[:, None, None, None]
+        p = p * np.asarray(pc.sus_odds_ratios, dtype=np.float64)[:, None]
+        source_key = np.arange(8)[:, None, None]
+        for bit, factor in ((1, pc.asymp_factor),
+                            (2, ic.isolation_transmission_factor),
+                            (4, ic.quarantine_transmission_factor)):
+            p = p * np.where(source_key & bit, factor, 1.0)
+        p = p * np.array([1.0, ic.quarantine_susceptibility_factor])
+        return np.clip(p, 0.0, 1.0).ravel()
 
     def _progress(self) -> tuple[int, int, int]:
         """Advance agents whose scheduled transition falls on today."""
@@ -342,7 +401,7 @@ class Simulation:
         new_severe = new_deaths = new_recovered = 0
 
         # E -> infectious: draw symptom course now.
-        e_ids = due[due_states == EpiState.EXPOSED]
+        e_ids = due[due_states == EXPOSED]
         if len(e_ids):
             p_sym = np.asarray(dc.prob_symptomatic)[bands[e_ids]]
             symptomatic = rng.random(len(e_ids)) < p_sym
@@ -351,42 +410,42 @@ class Simulation:
             dur = self._draw_infectious_duration(len(e_ids))
 
             asym = e_ids[~symptomatic]
-            st.epi_state[asym] = EpiState.I_ASYMPTOMATIC
+            st.epi_state[asym] = I_ASYMPTOMATIC
             mild = e_ids[symptomatic]
-            st.epi_state[mild] = EpiState.I_MILD
+            st.epi_state[mild] = I_MILD
 
             plain = e_ids[~severe_course]
             st.scheduled_day[plain] = self.day + dur[~severe_course]
-            st.next_state[plain] = EpiState.RECOVERED
+            st.next_state[plain] = RECOVERED
 
             sev = e_ids[severe_course]
             if len(sev):
                 onset = rng.integers(dc.severe_onset_min, dc.severe_onset_max + 1, size=len(sev))
                 st.scheduled_day[sev] = self.day + onset.astype(np.int32)
-                st.next_state[sev] = EpiState.I_SEVERE
+                st.next_state[sev] = I_SEVERE
 
         # Infectious agents whose scheduled outcome is due.
-        inf_ids = due[IS_INFECTIOUS[due_states]]
+        inf_ids = due[_infectious(due_states)]
         if len(inf_ids):
-            to_severe = inf_ids[st.next_state[inf_ids] == EpiState.I_SEVERE]
+            to_severe = inf_ids[st.next_state[inf_ids] == I_SEVERE]
             if len(to_severe):
-                st.epi_state[to_severe] = EpiState.I_SEVERE
+                st.epi_state[to_severe] = I_SEVERE
                 new_severe = len(to_severe)
                 p_death = np.asarray(dc.prob_death_given_severe)[bands[to_severe]]
                 dies = rng.random(len(to_severe)) < p_death
                 dur = self._draw_infectious_duration(len(to_severe))
                 st.scheduled_day[to_severe] = self.day + dur
-                st.next_state[to_severe] = np.where(dies, EpiState.DEAD, EpiState.RECOVERED).astype(np.int8)
+                st.next_state[to_severe] = np.where(dies, DEAD, RECOVERED).astype(np.int8)
 
-            to_recovered = inf_ids[st.next_state[inf_ids] == EpiState.RECOVERED]
+            to_recovered = inf_ids[st.next_state[inf_ids] == RECOVERED]
             if len(to_recovered):
-                st.epi_state[to_recovered] = EpiState.RECOVERED
+                st.epi_state[to_recovered] = RECOVERED
                 st.scheduled_day[to_recovered] = -1
                 new_recovered = len(to_recovered)
 
-            to_dead = inf_ids[st.next_state[inf_ids] == EpiState.DEAD]
+            to_dead = inf_ids[st.next_state[inf_ids] == DEAD]
             if len(to_dead):
-                st.epi_state[to_dead] = EpiState.DEAD
+                st.epi_state[to_dead] = DEAD
                 st.scheduled_day[to_dead] = -1
                 new_deaths = len(to_dead)
 
@@ -395,8 +454,8 @@ class Simulation:
     def _emit_counts(self, **flows: int) -> DailyCounts:
         st = self.state
         stocks = np.bincount(st.epi_state, minlength=len(EpiState))
-        infectious = int(stocks[EpiState.I_ASYMPTOMATIC] + stocks[EpiState.I_MILD] + stocks[EpiState.I_SEVERE])
-        alive = st.epi_state != EpiState.DEAD
+        infectious = int(stocks[I_ASYMPTOMATIC] + stocks[I_MILD] + stocks[I_SEVERE])
+        alive = st.epi_state != DEAD
         in_quarantine = (
             (st.quarantine_start >= 0)
             & (st.quarantine_start <= self.day)
@@ -405,17 +464,17 @@ class Simulation:
         )
         return DailyCounts(
             day=self.day,
-            S=int(stocks[EpiState.SUSCEPTIBLE]),
-            E=int(stocks[EpiState.EXPOSED]),
+            S=int(stocks[SUSCEPTIBLE]),
+            E=int(stocks[EXPOSED]),
             I=infectious,
-            R=int(stocks[EpiState.RECOVERED]),
-            D=int(stocks[EpiState.DEAD]),
+            R=int(stocks[RECOVERED]),
+            D=int(stocks[DEAD]),
             cumulative_tests=self.cum_tests,
             cumulative_quarantined=self.cum_quarantined,
             cumulative_diagnoses=self.cum_diagnoses,
-            currently_infected=int(stocks[EpiState.EXPOSED]) + infectious,
+            currently_infected=int(stocks[EXPOSED]) + infectious,
             currently_quarantined=int(in_quarantine.sum()),
-            cumulative_dead=int(stocks[EpiState.DEAD]),
+            cumulative_dead=int(stocks[DEAD]),
             **{k: int(v) for k, v in flows.items()},
         )
 

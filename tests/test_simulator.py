@@ -1,15 +1,19 @@
 """Core simulator: conservation, determinism, seeding, transmission oracles."""
 
+import copy
 import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
-from epictrl.config import DiseaseConfig, InterventionConfig, PopulationConfig
+from epictrl.config import N_AGE_BANDS, DiseaseConfig, InterventionConfig, PopulationConfig
 from epictrl.errors import ConfigurationError
+from epictrl import interventions as iv
 from epictrl.interventions import Action, NULL_ACTION
 from epictrl.simulator import (
+    IS_INFECTED,
+    TRANSMISSION_LAYERS,
     AgentState,
     DailyCounts,
     EpiState,
@@ -242,6 +246,173 @@ class TestTransmissionOracles:
         )
         # Expect roughly half as many infections under ch_beta = 0.5.
         assert hits_locked / hits_open == pytest.approx(0.5, rel=0.15)
+
+
+def per_layer_transmit(sim, ch_beta, rng):
+    """Reference for Simulation._transmit: one layer at a time, probabilities per candidate.
+
+    A transcription of the sweep the one-pass table replaced, minus its
+    state updates: it returns the ids it would expose, drawing from rng,
+    and how many candidates had an asymptomatic, diagnosed or quarantined
+    source, a quarantined target, or a probability the clip cut to 1.
+    """
+    coverage = dict.fromkeys(("asymptomatic", "diagnosed", "quarantined_source",
+                              "quarantined_target", "clipped"), 0)
+    st = sim.state
+    if ch_beta == 0.0 or sim.pop_cfg.beta_initial == 0.0:
+        return np.empty(0, dtype=np.int64), coverage
+    epi = st.epi_state
+    infectious_ids = np.flatnonzero(IS_INFECTED[epi] & (epi != EpiState.EXPOSED))
+    if not len(infectious_ids):
+        return np.empty(0, dtype=np.int64), coverage
+    susceptible = epi == EpiState.SUSCEPTIBLE
+    quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= sim.day) & (sim.day < st.quarantine_until)
+    base = iv.apply_lockdown(ch_beta, sim.pop_cfg.beta_initial)
+    asymp = epi == EpiState.I_ASYMPTOMATIC
+    cfg = sim.int_cfg
+    sus_odds = np.asarray(sim.pop_cfg.sus_odds_ratios, dtype=np.float64)
+    layer_weight = dict(zip(("household", "school", "work", "community"), sim.pop_cfg.layer_weights))
+
+    candidates = []
+    for name, layer in sim.pop.layers.items():
+        e = layer.edges_from(infectious_ids)
+        e = e[susceptible[layer.dst[e]]]
+        candidates.append((name, layer.src[e], layer.dst[e]))
+    c_src, c_dst = sim.community.contacts(infectious_ids)
+    keep = susceptible[c_dst]
+    candidates.append(("community", c_src[keep], c_dst[keep]))
+
+    hit_chunks = []
+    for name, s, d in candidates:
+        if not len(s):
+            continue
+        p = np.full(len(s), base * layer_weight[name], dtype=np.float64)
+        p *= sus_odds[sim.pop.age_bands[d]]
+        p[asymp[s]] *= sim.pop_cfg.asymp_factor
+        p[st.diagnosed_day[s] >= 0] *= cfg.isolation_transmission_factor
+        p[quarantined[s]] *= cfg.quarantine_transmission_factor
+        p[quarantined[d]] *= cfg.quarantine_susceptibility_factor
+        coverage["asymptomatic"] += int(asymp[s].sum())
+        coverage["diagnosed"] += int((st.diagnosed_day[s] >= 0).sum())
+        coverage["quarantined_source"] += int(quarantined[s].sum())
+        coverage["quarantined_target"] += int(quarantined[d].sum())
+        coverage["clipped"] += int((p > 1.0).sum())
+        np.clip(p, 0.0, 1.0, out=p)
+        hits = d[rng.random(len(p)) < p]
+        if len(hits):
+            hit_chunks.append(hits)
+    if not hit_chunks:
+        return np.empty(0, dtype=np.int64), coverage
+    return np.unique(np.concatenate(hit_chunks)), coverage
+
+
+# ch_beta steps 1 -> 0 -> 0.75 -> 0.5 from day to day, so the probability
+# table is rebuilt and skipped on every kind of change.
+CYCLE = (NULL_ACTION, Action(0.0, 0.5, 0.5), Action(0.75, 0.5, 0.5), Action(0.5, 0.75, 0.75))
+
+
+class TestOnePassTransmission:
+    """Simulation._transmit against per_layer_transmit, day by day."""
+
+    def _compare(self, sim, actions, n_days=133):
+        totals = dict.fromkeys(("days_without_infectious", "exposed"), 0)
+        transmit = sim._transmit
+
+        def checked(ch_beta):
+            reference = copy.deepcopy(sim.streams["transmission"])
+            expected, coverage = per_layer_transmit(sim, ch_beta, reference)
+            got = transmit(ch_beta)
+            np.testing.assert_array_equal(got, expected)
+            assert got.dtype == expected.dtype
+            assert sim.streams["transmission"].bit_generator.state == reference.bit_generator.state
+            for key, value in coverage.items():
+                totals[key] = totals.get(key, 0) + value
+            epi = sim.state.epi_state
+            totals["days_without_infectious"] += not np.any(IS_INFECTED[epi] & (epi != EpiState.EXPOSED))
+            totals["exposed"] += len(got)
+            return got
+
+        sim._transmit = checked
+        for day in range(n_days):
+            sim.step_day(actions[day % len(actions)])
+        assert totals["days_without_infectious"] > 0  # the seeded agents start out exposed
+        assert totals["exposed"] > 0
+        return totals
+
+    @pytest.mark.parametrize("action", [NULL_ACTION, Action(0.75, 0.5, 0.5)], ids=["null", "mixed"])
+    def test_default_population(self, action):
+        self._compare(make_sim(pop_size=2000, pop_infected=10, seed=0), [action])
+
+    def test_partial_community_offset(self):
+        sim = make_sim(pop_size=2000, pop_infected=10, seed=0, contacts_c=7.3)
+        assert sim.community is None and sim._community_shape[1] > 0
+        self._compare(sim, [NULL_ACTION])
+
+    def test_trace_heavy_action(self):
+        totals = self._compare(make_sim(pop_size=2000, pop_infected=10, seed=1), [Action(0.5, 0.75, 0.75)])
+        assert totals["diagnosed"] and totals["quarantined_source"] and totals["quarantined_target"]
+
+    def test_clip_binds(self):
+        sim = make_sim(pop_size=2000, pop_infected=10, seed=0, asymp_factor=400.0)
+        totals = self._compare(sim, [NULL_ACTION], n_days=40)
+        assert totals["clipped"] > 0
+
+    def test_lockdown_level_changes_daily_with_distinct_layer_weights(self):
+        sim = make_sim(pop_size=2000, pop_infected=10, seed=1, layer_weights=(0.5, 1.5, 1.0, 2.0))
+        self._compare(sim, CYCLE)
+
+    def test_twenty_one_agents(self):
+        for seed in range(3):
+            sim = make_sim(pop_size=21, pop_infected=3, seed=seed, beta_initial=0.1)
+            self._compare(sim, CYCLE, n_days=60)
+
+    def test_table_entries_are_the_per_candidate_products(self):
+        # Factors chosen so that multiplying in another order rounds some
+        # entries differently, and large enough that the clip binds.
+        pop_cfg = PopulationConfig(pop_size=200, total_pop=200.0, pop_infected=2.0, beta_initial=0.6,
+                                   asymp_factor=3.7, layer_weights=(0.7, 1.3, 0.9, 1.1),
+                                   sus_odds_ratios=tuple(0.55 + 0.17 * b for b in range(N_AGE_BANDS)))
+        int_cfg = InterventionConfig(isolation_transmission_factor=0.45, quarantine_transmission_factor=0.3,
+                                     quarantine_susceptibility_factor=0.65)
+        sim = Simulation(pop_cfg, DiseaseConfig(), int_cfg, seed=0)
+        source, band, target_q = (k.ravel() for k in np.indices((8, N_AGE_BANDS, 2)))
+        asymp, diagnosed, source_q = source & 1 > 0, source & 2 > 0, source & 4 > 0
+        sus_odds = np.asarray(pop_cfg.sus_odds_ratios)
+        for ch_beta in (1.0, 0.625, 0.5):
+            table = sim._probability_table(ch_beta).reshape(len(TRANSMISSION_LAYERS), -1)
+            for row, weight in zip(table, pop_cfg.layer_weights):
+                p = np.full(len(source), iv.apply_lockdown(ch_beta, pop_cfg.beta_initial) * weight)
+                p *= sus_odds[band]
+                p[asymp] *= pop_cfg.asymp_factor
+                p[diagnosed] *= int_cfg.isolation_transmission_factor
+                p[source_q] *= int_cfg.quarantine_transmission_factor
+                p[target_q == 1] *= int_cfg.quarantine_susceptibility_factor
+                assert (p > 1.0).any()
+                np.clip(p, 0.0, 1.0, out=p)
+                np.testing.assert_array_equal(row, p)
+
+    def test_split_draws_equal_one_draw(self):
+        # The one pass draws once for all layers where the per-layer sweep
+        # drew once per layer; PCG64 doubles are one output each.
+        for sizes in ((0, 5), (3, 0, 7), (1, 1, 1), (1000, 17, 250, 4096)):
+            split, whole = np.random.default_rng(42), np.random.default_rng(42)
+            parts = np.concatenate([split.random(k) for k in sizes])
+            np.testing.assert_array_equal(parts, whole.random(sum(sizes)))
+            assert split.bit_generator.state == whole.bit_generator.state
+
+
+class TestProgression:
+    @pytest.mark.xfail(strict=True, reason="_progress re-reads next_state after I_MILD -> I_SEVERE, "
+                                           "so a severe agent recovers or dies on its onset day")
+    def test_severe_agent_is_severe_at_the_end_of_its_onset_day(self):
+        sim = make_sim(pop_size=100, pop_infected=1, seed=2)
+        agent = int(sim.seeded_ids[0])
+        sim.state.epi_state[agent] = EpiState.I_MILD
+        sim.state.scheduled_day[agent] = sim.day
+        sim.state.next_state[agent] = EpiState.I_SEVERE
+        counts = sim.step_day(NULL_ACTION)
+        assert counts.new_severe == 1
+        assert sim.state.epi_state[agent] == EpiState.I_SEVERE
 
 
 class TestPolicyConsumption:
