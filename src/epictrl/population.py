@@ -13,7 +13,6 @@ met these agents" without listing the day's edges.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +77,6 @@ def community_offsets(n: int, contacts: float) -> tuple[int, int]:
     return full, partial
 
 
-@functools.lru_cache(maxsize=1)
-def _slot_numbers(n: int) -> np.ndarray:
-    """np.arange(n), read-only and kept between calls: a fresh one each day
-    costs more at 100k agents than the scatter that inverts the permutation."""
-    slots = np.arange(n)
-    slots.flags.writeable = False
-    return slots
-
-
 @dataclass
 class CommunityDay:
     """One day's community contacts: a circulant graph on relabelled agents.
@@ -105,11 +95,17 @@ class CommunityDay:
     partial_edges: int    # edges of the partial offset; 0 when there is none
 
     @classmethod
-    def sample(cls, n: int, full: int, partial: int, rng: np.random.Generator) -> "CommunityDay":
-        """Draw the relabelling, then the offsets, as sized by community_offsets."""
+    def sample(cls, slots: np.ndarray, full: int, partial: int, rng: np.random.Generator) -> "CommunityDay":
+        """Draw the relabelling, then the offsets, as sized by community_offsets.
+
+        ``slots`` is ``np.arange(n)`` for n agents. A caller that draws a day
+        at a time keeps one: allocating it anew costs about a third of the
+        inverse permutation at 100k agents.
+        """
+        n = len(slots)
         agent_at = rng.permutation(n)
         slot_of = np.empty(n, dtype=np.int64)
-        slot_of[agent_at] = _slot_numbers(n)
+        slot_of[agent_at] = slots
         offsets = rng.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
         return cls(agent_at, slot_of, offsets, partial)
 

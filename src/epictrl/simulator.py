@@ -224,6 +224,7 @@ class Simulation:
         self._inf_mu, self._inf_sigma = _lognormal_params(disease_cfg.infectious_mean, disease_cfg.infectious_sd)
 
         self._community_shape = community_offsets(pop_cfg.pop_size, pop_cfg.contacts_c)
+        self._slots = np.arange(pop_cfg.pop_size)
         self.pop: Population = synthesize_population(pop_cfg, self.streams["population"])
         self.state = AgentState.fresh(pop_cfg.pop_size)
         self.day = 0
@@ -274,8 +275,7 @@ class Simulation:
 
         # Rotate the community layer: keep yesterday's for tracing.
         self.prev_community = self.community
-        self.community = CommunityDay.sample(
-            self.pop_cfg.pop_size, *self._community_shape, self.streams["community"])
+        self.community = CommunityDay.sample(self._slots, *self._community_shape, self.streams["community"])
 
         new_exposed = self._transmit(action.ch_beta)
         new_severe, new_deaths, new_recovered = self._progress()
@@ -336,8 +336,8 @@ class Simulation:
         keep = susceptible[c_dst]
         src_chunks.append(c_src[keep])
         dst_chunks.append(c_dst[keep])
-        dst = np.concatenate(dst_chunks)
-        if not len(dst):
+        sizes = [len(d) for d in dst_chunks]
+        if not sum(sizes):
             return np.empty(0, dtype=np.int64)
 
         if ch_beta != self._p_table_beta:
@@ -351,10 +351,17 @@ class Simulation:
             + 2 * (st.diagnosed_day[infectious_ids] >= 0)
             + 4 * quarantined[infectious_ids]
         )
-        entry = np.repeat(np.arange(len(TRANSMISSION_LAYERS)) * LAYER_STRIDE, [len(d) for d in dst_chunks])
+        # A 100k-agent day near the epidemic's peak has about 300k
+        # candidates, so each whole-day array is dropped once used: the pass
+        # then holds no more at a time than a sweep one layer at a time.
+        entry = np.repeat(np.arange(len(TRANSMISSION_LAYERS)) * LAYER_STRIDE, sizes)
         entry += source_key[np.concatenate(src_chunks)]
+        del src_chunks, c_src, keep
+        dst = np.concatenate(dst_chunks)
+        del dst_chunks, c_dst
         entry += target_key[dst]
         p = self._p_table[entry]
+        del entry
         new_exposed = dst[self.streams["transmission"].random(len(p)) < p]
         if not len(new_exposed):
             return np.empty(0, dtype=np.int64)

@@ -208,7 +208,7 @@ class TestTracing:
     def test_tracing_matches_brute_force_reference(self):
         sim = make_sim(pop_size=300, seed=4)
         rng = np.random.default_rng(11)
-        sim.prev_community = CommunityDay.sample(300, *community_offsets(300, 7.3), rng)
+        sim.prev_community = CommunityDay.sample(np.arange(300), *community_offsets(300, 7.3), rng)
         assert sim.prev_community.partial_edges
         diagnosed = np.sort(rng.choice(300, size=12, replace=False))
 

@@ -203,7 +203,7 @@ def test_clique_layers_equal_sorted_edge_list(overrides):
 
 
 def community_day(n, contacts, seed=0) -> CommunityDay:
-    return CommunityDay.sample(n, *community_offsets(n, contacts), np.random.default_rng(seed))
+    return CommunityDay.sample(np.arange(n), *community_offsets(n, contacts), np.random.default_rng(seed))
 
 
 def community_edges(day: CommunityDay):
