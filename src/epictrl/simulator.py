@@ -25,14 +25,29 @@ same order, and is rebuilt only when the lockdown level changes.
 
 Everything stochastic draws from named substreams of a single master seed
 in a fixed order, which makes whole runs bit-reproducible.
+
+The community stream runs one day ahead. It is read only by
+CommunityDay.sample and does not depend on the policy, so from
+PIPELINE_MIN_AGENTS agents one worker thread, shared by every Simulation
+in the process, draws tomorrow's layer while today runs (numpy's shuffle
+releases the GIL). Days are still drawn one at a time and in order, from
+the same stream, so every draw and count is that of drawing inline. Below
+the threshold, handing a draw to another thread costs more than the draw,
+and each day draws its layer inline at its start. On a 2-vCPU machine this
+takes a 133-day mixed-action episode from about 1.0 s to 0.73 s at 100k
+agents, and from about 12 s to 8 s at 1M agents (README, BENCH_12.json).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
+import threading
+import weakref
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +57,9 @@ from .errors import ConfigurationError
 from .interventions import Action
 from .population import LAYER_NAMES, CommunityDay, Population, community_offsets, synthesize_population
 from .rng import all_substreams
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +108,59 @@ def _infectious(states: np.ndarray) -> np.ndarray:
 TRANSMISSION_LAYERS = LAYER_NAMES + ("community",)
 TARGET_KEYS = 2 * N_AGE_BANDS
 LAYER_STRIDE = 8 * TARGET_KEYS
+
+
+# Agents from which the next day's community layer is drawn on the worker
+# thread. On a 2-vCPU machine drawing there lost at 10k agents, was within
+# run-to-run noise at 20k and 30k, and won every run from 50k
+# (tools/pipeline_crossover.py; CHANGES.md has the table).
+PIPELINE_MIN_AGENTS = 50_000
+
+_community_worker: ThreadPoolExecutor | None = None
+_community_worker_lock = threading.Lock()
+_last_draw: weakref.ref[Future] | None = None  # the draw queued most recently
+
+
+def _submit_draw(*args) -> Future:
+    """Queue CommunityDay.sample(*args) on the worker thread, started on first use.
+
+    concurrent.futures is imported here rather than with the module, so a
+    run below the threshold loads nothing it does not use (the import adds
+    about 0.6 MiB to a process's peak RSS).
+    """
+    global _community_worker, _last_draw
+    with _community_worker_lock:
+        if _community_worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _community_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="epictrl-community")
+        future = _community_worker.submit(CommunityDay.sample, *args)
+        _last_draw = weakref.ref(future)
+        return future
+
+
+def _finish_draws() -> None:
+    """Wait for the draws in flight, so a fork copies no half-drawn day.
+
+    The worker runs draws in the order they were queued, so all are done
+    once the last one queued is; a future nothing holds any more is done.
+    This takes no lock and queues nothing: concurrent.futures' own at-fork
+    hook may already hold the lock that submitting takes.
+    """
+    last = _last_draw() if _last_draw is not None else None
+    if last is not None:
+        last.exception()  # waits; a failed draw is raised by its step_day
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread: start a new one when needed."""
+    global _community_worker, _community_worker_lock, _last_draw
+    _community_worker = _last_draw = None
+    _community_worker_lock = threading.Lock()  # another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_finish_draws, after_in_child=_forget_worker)
 
 
 @dataclass
@@ -231,10 +302,12 @@ class Simulation:
         self.seeded_ids = seed_infections(self.state, pop_cfg, self.streams["seeding"])
         self._schedule_latent(self.seeded_ids, 0)
 
-        # Community contacts: today's are drawn at the start of each day;
-        # yesterday's are kept for contact tracing.
+        # Community contacts: today's are drawn at the start of each day, or
+        # while the day before runs (see _prefetch_community); yesterday's
+        # are kept for contact tracing.
         self.community: CommunityDay | None = None
         self.prev_community: CommunityDay | None = None
+        self._next_community: Future | None = None
 
         # Cumulative counters.
         self.cum_tests = 0
@@ -246,6 +319,12 @@ class Simulation:
         # was built for.
         self._p_table_beta: float | None = None
         self._p_table = np.empty(0)
+
+        if pop_cfg.pop_size >= PIPELINE_MIN_AGENTS:
+            n = pop_cfg.pop_size
+            # (agent_at, slot_of) of yesterday, today and tomorrow, in turn.
+            self._community_buffers = [(np.empty(n, np.int64), np.empty(n, np.int64)) for _ in range(3)]
+            self._prefetch_community()
 
     # -- duration draws -------------------------------------------------
 
@@ -275,7 +354,11 @@ class Simulation:
 
         # Rotate the community layer: keep yesterday's for tracing.
         self.prev_community = self.community
-        self.community = CommunityDay.sample(self._slots, *self._community_shape, self.streams["community"])
+        if self._next_community is None:
+            self.community = CommunityDay.sample(self._slots, *self._community_shape, self.streams["community"])
+        else:
+            self.community = self._next_community.result()
+            self._prefetch_community()
 
         new_exposed = self._transmit(action.ch_beta)
         new_severe, new_deaths, new_recovered = self._progress()
@@ -303,6 +386,19 @@ class Simulation:
         )
         self.day += 1
         return counts
+
+    def _prefetch_community(self) -> None:
+        """Start drawing the next day's community layer on the worker thread.
+
+        Only the worker draws from the community stream, and a draw is
+        submitted only once the day before has been taken, so days are drawn
+        one at a time and in order. Each draw goes into the buffer pair used
+        longest ago, the one of the day before yesterday, which neither
+        today's nor yesterday's layer uses.
+        """
+        buffers = self._community_buffers.pop(0)
+        self._community_buffers.append(buffers)
+        self._next_community = _submit_draw(self._slots, *self._community_shape, self.streams["community"], buffers)
 
     def _transmit(self, ch_beta: float) -> np.ndarray:
         """One transmission sweep with state frozen at the start of the day.

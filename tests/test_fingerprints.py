@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation
+from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation, simulator
 from epictrl.agents import train
 from epictrl.baselines import seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import CalibrationSpec, search
@@ -107,6 +107,35 @@ def test_community_mean_fingerprint(contacts_c, action, seed):
     assert value == COMMUNITY_FINGERPRINTS[(contacts_c, action, seed)]
 
 
+# Every series case again, each Simulation drawing its community layer on the
+# worker thread (simulator.PIPELINE_MIN_AGENTS patched to 2): one day ahead,
+# the same draws.
+PIPELINED_CASES = [(*key, None, FINGERPRINTS[key]) for key in sorted(FINGERPRINTS)] + [
+    (2000, 10, action, seed, contacts_c, COMMUNITY_FINGERPRINTS[(contacts_c, action, seed)])
+    for contacts_c, action, seed in sorted(COMMUNITY_FINGERPRINTS)
+]
+
+
+@pytest.mark.parametrize("agents,seeded,action,seed,contacts_c,expected", PIPELINED_CASES)
+def test_series_fingerprint_pipelined(monkeypatch, agents, seeded, action, seed, contacts_c, expected):
+    monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+    assert series_run(agents, seeded, action, seed, contacts_c)[1] == expected
+
+
+def test_pipelined_equals_inline_at_100k(monkeypatch):
+    cfg = make_cfg(100_000, 500)
+
+    def run(pipelined: bool) -> list:
+        sim = Simulation(cfg.population, cfg.disease, cfg.interventions, 0)
+        assert (sim._next_community is not None) == pipelined
+        return [sim.step_day(ACTIONS["mixed"]) for _ in range(14)]
+
+    pipelined = run(True)  # the default threshold is below 100k
+    monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 100_001)
+    assert pipelined == run(False)
+    assert pipelined[-1].new_infections and pipelined[-1].new_quarantined
+
+
 SCHEDULES = {"7w7l": seven_work_seven_lockdown, "uk-approx": uk_approximation_schedule}
 
 # 2k agents, ten seeded, the schedule applied from day 0 (no gating).
@@ -176,6 +205,12 @@ def test_training_curve_fingerprint(kind, space):
 @pytest.mark.parametrize("kind,space", sorted(CHECKPOINT_FINGERPRINTS))
 def test_training_checkpoint_fingerprint(kind, space):
     assert training_digests(kind, space)[1] == CHECKPOINT_FINGERPRINTS[(kind, space)]
+
+
+def test_training_fingerprints_pipelined(monkeypatch):
+    monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+    key = ("ppo", "continuous")
+    assert training_digests(*key) == (TRAINING_FINGERPRINTS[key], CHECKPOINT_FINGERPRINTS[key])
 
 
 SEARCH_FINGERPRINT = "d06eb1129be4c4adb626436d9d330999e2e842b8cab533e032f5402418cf1690"

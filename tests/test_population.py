@@ -285,6 +285,26 @@ def test_community_contacts_match_edge_list_scan(contacts):
         np.testing.assert_array_equal(src, np.repeat(np.asarray(ids, dtype=np.int64), degrees))
 
 
+@pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 7.3), (9, 8.0)])
+def test_sample_into_buffers_draws_a_permutation_then_the_offsets(n, contacts):
+    full, partial = community_offsets(n, contacts)
+    reference, rng = np.random.default_rng(11), np.random.default_rng(11)
+    agent_at = reference.permutation(n)
+    offsets = reference.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
+    out = (np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
+    day = CommunityDay.sample(np.arange(n), full, partial, rng, out)
+    assert day.agent_at is out[0] and day.slot_of is out[1]
+    np.testing.assert_array_equal(day.agent_at, agent_at)
+    np.testing.assert_array_equal(day.slot_of[agent_at], np.arange(n))
+    np.testing.assert_array_equal(day.offsets, offsets)
+    assert day.partial_edges == partial
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # Without buffers the day is the same, in new arrays.
+    again = CommunityDay.sample(np.arange(n), full, partial, np.random.default_rng(11))
+    np.testing.assert_array_equal(again.agent_at, agent_at)
+    np.testing.assert_array_equal(again.slot_of, day.slot_of)
+
+
 def test_too_many_community_offsets_rejected():
     assert community_offsets(21, 20.0) == (10, 0)
     assert community_offsets(1000, 7.3) == (3, 650)

@@ -2,7 +2,15 @@
 
 import copy
 import dataclasses
+import hashlib
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +18,9 @@ import pytest
 from epictrl.config import N_AGE_BANDS, DiseaseConfig, InterventionConfig, PopulationConfig
 from epictrl.errors import ConfigurationError
 from epictrl import interventions as iv
+from epictrl import simulator
 from epictrl.interventions import Action, NULL_ACTION
+from epictrl.population import CommunityDay
 from epictrl.simulator import (
     IS_INFECTED,
     TRANSMISSION_LAYERS,
@@ -74,6 +84,18 @@ class TestCommunityLayer:
 
     def test_each_day_draws_a_new_community_layer(self):
         sim = make_sim(pop_size=500)
+        assert sim._next_community is None
+        self._check_new_layer_each_day(sim)
+
+    def test_each_day_draws_a_new_community_layer_pipelined(self, monkeypatch):
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+        sim = make_sim(pop_size=500)
+        assert sim._next_community is not None
+        self._check_new_layer_each_day(sim)
+
+    @staticmethod
+    def _check_new_layer_each_day(sim):
+        assert sim.community is None
         sim.step_day(NULL_ACTION)
         first = sim.community
         sim.step_day(NULL_ACTION)
@@ -447,3 +469,125 @@ class TestCsvRoundTrip:
         header = path.read_text().splitlines()[0]
         assert header.split(",") == [f.name for f in dataclasses.fields(DailyCounts)]
         assert counts_from_csv(str(path)) == series
+
+
+def series_digest(sim, n_days=30) -> str:
+    return hashlib.sha256(repr([sim.step_day(Action(0.75, 0.5, 0.5)) for _ in range(n_days)]).encode()).hexdigest()
+
+
+def run_python(code: str) -> None:
+    """Run code in a new interpreter from the repository root, failing on an error or after 120 s."""
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=root, timeout=120,
+                   env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"})
+
+
+# A pipelined Simulation made before a fork, stepped in the child (see check_fork).
+_made_before_fork: Simulation | None = None
+
+
+def _digests_in_child() -> tuple[str, str]:
+    return series_digest(make_sim(pop_size=2000, pop_infected=10)), series_digest(_made_before_fork)
+
+
+def check_fork() -> None:
+    """A fork child of a process whose worker has drawn gets a worker of its own.
+
+    Run in a new interpreter, where concurrent.futures is first imported
+    after the simulator has registered its at-fork hooks.
+    """
+    global _made_before_fork
+    simulator.PIPELINE_MIN_AGENTS = 2
+    expected = series_digest(make_sim(pop_size=2000, pop_infected=10))
+    assert simulator._community_worker is not None
+    sample = CommunityDay.__dict__["sample"]
+
+    def slow_sample(cls, *args):
+        time.sleep(0.5)
+        return sample.__func__(cls, *args)
+
+    CommunityDay.sample = classmethod(slow_sample)
+    _made_before_fork = make_sim()  # its day 0 is still being drawn at the fork
+    CommunityDay.sample = sample
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_digests_in_child).get(timeout=60)
+    assert got == (expected, series_digest(make_sim())), got
+
+
+class TestCommunityPipeline:
+    """From PIPELINE_MIN_AGENTS agents the worker thread draws tomorrow's community layer."""
+
+    def test_pipelined_draw_never_writes_today_or_yesterday(self, monkeypatch):
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+        sim = make_sim(pop_size=2000, pop_infected=10)
+        buffers = [array for pair in sim._community_buffers for array in pair]
+        for _ in range(10):
+            held = [(day, day.agent_at.copy(), day.slot_of.copy())
+                    for day in (sim.community, sim.prev_community) if day is not None]
+            tomorrow = sim._next_community.result()
+            for day, agent_at, slot_of in held:
+                np.testing.assert_array_equal(day.agent_at, agent_at)
+                np.testing.assert_array_equal(day.slot_of, slot_of)
+                for array in (day.agent_at, day.slot_of):
+                    assert not np.shares_memory(array, tomorrow.agent_at)
+                    assert not np.shares_memory(array, tomorrow.slot_of)
+            sim.step_day(Action(0.75, 0.5, 0.5))
+            # Every day is drawn into one of the three pairs made at construction.
+            assert sim.community is tomorrow
+            assert any(tomorrow.agent_at is a for a in buffers) and any(tomorrow.slot_of is a for a in buffers)
+
+    def test_threads_sharing_the_worker_each_get_their_own_series(self, monkeypatch):
+        # More stepping threads than cores, each with its own pipelined
+        # Simulation and all queueing draws on the one worker.
+        seeds = range(4)
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 10**9)
+        expected = [series_digest(make_sim(seed=seed), n_days=20) for seed in seeds]
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+        got = {}
+
+        def run(seed):
+            got[seed] = series_digest(make_sim(seed=seed), n_days=20)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got.get(seed) for seed in seeds] == expected
+
+    def test_no_thread_on_import_or_below_the_threshold(self):
+        run_python(
+            "import threading\n"
+            "import epictrl\n"
+            "from epictrl import simulator\n"
+            "assert threading.enumerate() == [threading.main_thread()], threading.enumerate()\n"
+            "from tests.test_simulator import make_sim, series_digest\n"
+            "series_digest(make_sim(pop_size=2000, pop_infected=10))\n"
+            "assert threading.enumerate() == [threading.main_thread()], threading.enumerate()\n"
+            "assert simulator._community_worker is None\n"
+        )
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_rebuilds_the_worker(self):
+        run_python("from tests.test_simulator import check_fork; check_fork()")
+
+    def test_worker_exception_surfaces_from_step_day(self, monkeypatch):
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 2)
+
+        def failing(cls, *args):
+            raise RuntimeError("draw failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CommunityDay, "sample", classmethod(failing))
+            sim = make_sim()
+            with pytest.raises(RuntimeError, match="draw failed"):
+                sim.step_day(NULL_ACTION)
+        pipelined = series_digest(make_sim())
+        monkeypatch.setattr(simulator, "PIPELINE_MIN_AGENTS", 10**9)
+        assert pipelined == series_digest(make_sim())
