@@ -156,18 +156,26 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str):
-    """Rebuild an agent from a checkpoint; returns (agent, metadata)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported checkpoint version {data.get('format_version')}")
-    config = FullConfig.from_dict({data["agent_kind"]: data["agent_config"]})
-    agent = make_agent(data["agent_kind"], data["space_kind"], data["obs_dim"], int(data["n_actions"]),
-                       config, data["master_seed"])
-    agent.load_state_dict(data)
-    agent.rng.bit_generator.state = data["rng_state"]
-    meta = {key: data[key] for key in
-            ("agent_kind", "space_kind", "obs_dim", "episodes_trained", "curve", "master_seed")}
+    """Rebuild an agent from a checkpoint; returns (agent, metadata).
+
+    A file that is not a JSON object, or lacks a key, is a ConfigurationError naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"{path}: malformed checkpoint (not a JSON object)")
+        if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ConfigurationError(f"{path}: unsupported checkpoint version {data.get('format_version')}")
+        config = FullConfig.from_dict({data["agent_kind"]: data["agent_config"]})
+        agent = make_agent(data["agent_kind"], data["space_kind"], data["obs_dim"], int(data["n_actions"]),
+                           config, data["master_seed"])
+        agent.load_state_dict(data)
+        agent.rng.bit_generator.state = data["rng_state"]
+        meta = {key: data[key] for key in
+                ("agent_kind", "space_kind", "obs_dim", "episodes_trained", "curve", "master_seed")}
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise ConfigurationError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
     return agent, meta
 
 

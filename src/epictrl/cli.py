@@ -136,11 +136,14 @@ def parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part and not part.startswith("-"):
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            if "-" in part and not part.startswith("-"):
+                lo, hi = part.split("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(part))
+        except ValueError:
+            raise UsageError(f"bad seed {part!r} in {text!r}") from None
     if not seeds:
         raise UsageError(f"no seeds in {text!r}")
     return seeds

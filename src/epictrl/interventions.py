@@ -123,13 +123,12 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
             hits = ids[sim.streams["testing"].random(len(ids)) < p]
             if len(hits):
                 _schedule_results(sim, hits, day + cfg.test_delay)
+                eligible[hits] = False  # their results are now pending
                 new_tests = len(hits)
 
     new_detections = 0
     if cfg.symp_detection_prob > 0.0 or cfg.severe_detection_prob > 0.0:
-        # Re-evaluate eligibility: agents just tested are now pending.
-        detectable = alive & (st.diagnosed_day < 0) & (st.test_pending_day < 0) & symptomatic
-        ids = np.nonzero(detectable)[0]
+        ids = np.nonzero(eligible & symptomatic)[0]
         if len(ids):
             p = np.where(
                 st.epi_state[ids] == sim.I_SEVERE,
@@ -147,7 +146,9 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
 def _schedule_results(sim, ids: np.ndarray, reveal_day: int) -> None:
     st = sim.state
     st.test_pending_day[ids] = reveal_day
-    st.test_positive[ids] = sim.IS_INFECTED[st.epi_state[ids]]
+    # Infected means EXPOSED through I_SEVERE, which are contiguous.
+    states = st.epi_state[ids]
+    st.test_positive[ids] = (states >= sim.EXPOSED) & (states <= sim.I_SEVERE)
 
 
 def reveal_test_results(sim) -> np.ndarray:
@@ -184,11 +185,10 @@ def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
 
     # Candidates in the order of the layers, then of the diagnosed agents,
     # then of each agent's contacts; yesterday's community layer comes last.
-    contact_chunks = [layer.dst[layer.edges_from(diagnosed_today)] for layer in sim.pop.layers.values()]
+    layers = list(sim.pop.layers.values())
     if cfg.trace_community and sim.prev_community is not None:
-        contact_chunks.append(sim.prev_community.contacts(diagnosed_today)[1])
-
-    candidates = np.concatenate(contact_chunks)
+        layers.append(sim.prev_community)
+    candidates = np.concatenate([layer.contacts(diagnosed_today)[1] for layer in layers])
     if not len(candidates):
         return 0
 

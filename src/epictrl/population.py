@@ -2,13 +2,14 @@
 
 The three static layers are full cliques within groups whose sizes are chosen
 so the mean within-group contact count matches the configured layer contact
-means. Each is a CSR edge list built in one vectorised pass: an agent's
-contacts are its group's ascending members rotated to start just after it,
-the order a stable sort by source of both directions of every
-``np.triu_indices`` pair would give. The community layer is not built here:
-each simulated day draws a new CommunityDay (see simulator.Simulation), a
-circulant graph over a random relabelling of the agents that answers "who
-met these agents" without listing the day's edges.
+means. Each stores its destinations with a CSR row index, built in one
+vectorised pass: an agent's contacts are its group's ascending members
+rotated to start just after it, the order a stable sort by source of both
+directions of every ``np.triu_indices`` pair would give. The community layer
+is not built here: each simulated day draws a new CommunityDay (see
+simulator.Simulation), a circulant graph over a random relabelling of the
+agents. Every layer answers "who met these agents" with ``contacts(ids) ->
+(src, dst)``, in the order of the ids and then of each id's contacts.
 """
 
 from __future__ import annotations
@@ -25,28 +26,29 @@ LAYER_NAMES = ("household", "school", "work")
 
 @dataclass
 class Layer:
-    """Directed edge list for one static contact layer, with a CSR row index.
+    """One static contact layer: destinations with a CSR row index.
 
-    src/dst hold both directions of every undirected contact, sorted by src,
-    and indptr has one entry per agent plus one: the edges leaving agent i
-    are ``indptr[i]:indptr[i + 1]``, so its contacts are that slice of dst.
-    For a clique layer that slice is the rest of i's group, ascending from
-    just after i and wrapping round (see _clique_layer).
+    indptr has one entry per agent plus one, and the contacts of agent i are
+    ``dst[indptr[i]:indptr[i + 1]]``. Both directions of every undirected
+    contact are stored. For a clique layer each slice is the rest of i's
+    group, ascending from just after i and wrapping round (see
+    _clique_layer). Like CommunityDay, a layer answers ``contacts(ids)``.
     """
 
     name: str
-    src: np.ndarray
     dst: np.ndarray
     indptr: np.ndarray
 
-    def neighbors_of(self, agent_id: int) -> np.ndarray:
-        return self.dst[self.indptr[agent_id]:self.indptr[agent_id + 1]]
+    @property
+    def src(self) -> np.ndarray:
+        """Source of each edge, derived from the row index: edges are stored sorted by source."""
+        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), np.diff(self.indptr))
 
-    def edges_from(self, ids: np.ndarray) -> np.ndarray:
-        """Indices of the edges leaving ``ids``, in the order of the ids and then of the edges.
+    def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) of every contact of ``ids``, in the order of the ids and then of the edges.
 
-        Repeated ids give their edges again; for ascending unique ids the
-        indices ascend, i.e. they keep the layer's own edge order.
+        Repeated ids give their contacts again; for ascending unique ids the
+        pairs keep the layer's own edge order.
         """
         ids = np.asarray(ids, dtype=np.int64)
         lo = self.indptr[ids]
@@ -54,7 +56,7 @@ class Layer:
         # Row k's edges are lo[k], lo[k] + 1, ...: one arange over the whole
         # gather, shifted per row by lo[k] minus the row's start in it.
         shift = lo - (np.cumsum(counts) - counts)
-        return np.repeat(shift, counts) + np.arange(counts.sum())
+        return np.repeat(ids, counts), self.dst[np.repeat(shift, counts) + np.arange(counts.sum())]
 
 
 def community_offsets(n: int, contacts: float) -> tuple[int, int]:
@@ -211,8 +213,9 @@ def _clique_layer(name: str, ids: np.ndarray, group_of: np.ndarray, n: int) -> L
     indptr[ids + 1] = degree
     np.cumsum(indptr, out=indptr)
     # Edge e of agent i lies e - indptr[i] past its first contact.
-    dst = twice[np.repeat(first - indptr[ids], degree) + np.arange(indptr[-1])]
-    return Layer(name=name, src=np.repeat(ids, degree), dst=dst, indptr=indptr)
+    edge = np.repeat(first - indptr[ids], degree)
+    edge += np.arange(indptr[-1])
+    return Layer(name=name, dst=twice[edge], indptr=indptr)
 
 
 def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generator) -> Population:
@@ -226,8 +229,6 @@ def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generato
     """
     config.validate()
     n = config.pop_size
-    if n < 2:
-        raise ConfigurationError("pop_size must be >= 2")
 
     bands = seed_rng.choice(len(config.age_pyramid), size=n, p=np.asarray(config.age_pyramid))
     ages = (bands * 10 + seed_rng.integers(0, 10, size=n)).astype(np.int16)

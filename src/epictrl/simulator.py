@@ -11,9 +11,9 @@ they are needed). Only the three infectious states transmit; DEAD and
 RECOVERED are absorbing. Transmission runs over four contact layers:
 household/school/work cliques (static per run) and a community layer drawn
 anew every day as a circulant graph over a random relabelling of the agents
-(population.CommunityDay). Transmission and tracing look up the contacts of
-the agents they concern only, so a day's cost follows the epidemic rather
-than the number of community pairs.
+(population.CommunityDay). Every layer answers contacts(ids), and
+transmission and tracing ask it only for the agents they concern, so a
+day's cost follows the epidemic rather than the number of community pairs.
 
 A day's transmission is one pass over all layers at once: every (infectious
 source, susceptible target) contact is a candidate, its infection
@@ -78,20 +78,6 @@ class EpiState(IntEnum):
 # IntEnum member (4x slower at 2k agents, 10x at 100k), and each member
 # lookup goes through the enum's __getattr__.
 SUSCEPTIBLE, EXPOSED, I_ASYMPTOMATIC, I_MILD, I_SEVERE, RECOVERED, DEAD = map(int, EpiState)
-
-INFECTIOUS_STATES = (EpiState.I_ASYMPTOMATIC, EpiState.I_MILD, EpiState.I_SEVERE)
-INFECTED_STATES = (EpiState.EXPOSED,) + INFECTIOUS_STATES
-
-
-def _state_table(states) -> np.ndarray:
-    """Boolean lookup table indexed by EpiState: True for the given states."""
-    table = np.zeros(len(EpiState), dtype=bool)
-    table[list(states)] = True
-    return table
-
-
-IS_INFECTED = _state_table(INFECTED_STATES)
-
 
 def _infectious(states: np.ndarray) -> np.ndarray:
     """Mask of the infectious states, which are the contiguous I_ASYMPTOMATIC..I_SEVERE.
@@ -270,10 +256,10 @@ class Simulation:
     """One self-contained simulation run with its own random substreams."""
 
     # Class-level aliases so the interventions module can stay import-free.
-    DEAD = DEAD
+    EXPOSED = EXPOSED
     I_MILD = I_MILD
     I_SEVERE = I_SEVERE
-    IS_INFECTED = IS_INFECTED
+    DEAD = DEAD
 
     def __init__(
         self,
@@ -423,15 +409,12 @@ class Simulation:
 
         src_chunks: list[np.ndarray] = []
         dst_chunks: list[np.ndarray] = []
-        for layer in self.pop.layers.values():
-            e = layer.edges_from(infectious_ids)
-            e = e[susceptible[layer.dst[e]]]
-            src_chunks.append(layer.src[e])
-            dst_chunks.append(layer.dst[e])
-        c_src, c_dst = self.community.contacts(infectious_ids)
-        keep = susceptible[c_dst]
-        src_chunks.append(c_src[keep])
-        dst_chunks.append(c_dst[keep])
+        for layer in (*self.pop.layers.values(), self.community):
+            src, dst = layer.contacts(infectious_ids)
+            keep = susceptible[dst]
+            src_chunks.append(src[keep])
+            dst_chunks.append(dst[keep])
+        del src, dst, keep
         sizes = [len(d) for d in dst_chunks]
         if not sum(sizes):
             return np.empty(0, dtype=np.int64)
@@ -452,9 +435,9 @@ class Simulation:
         # then holds no more at a time than a sweep one layer at a time.
         entry = np.repeat(np.arange(len(TRANSMISSION_LAYERS)) * LAYER_STRIDE, sizes)
         entry += source_key[np.concatenate(src_chunks)]
-        del src_chunks, c_src, keep
+        del src_chunks
         dst = np.concatenate(dst_chunks)
-        del dst_chunks, c_dst
+        del dst_chunks
         entry += target_key[dst]
         p = self._p_table[entry]
         del entry

@@ -29,6 +29,16 @@ class TestParseSeeds:
         assert parse_seeds("5") == [5]
         assert parse_seeds("1,4-6") == [1, 4, 5, 6]
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("seeds", ["x", "1,4-y"])
+    def test_bad_seeds_are_usage_error(self, tmp_path, capsys, command, seeds):
+        out = tmp_path / "X"
+        policies = ["--policy", "none"] * (2 if command == "compare" else 1)
+        code = run_cli(command, "--out", out, *policies, "--seeds", seeds, *BASE_OVERRIDES)
+        assert code == 2
+        assert "error: bad seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_manifest_and_outputs(self, tmp_path):
@@ -252,6 +262,17 @@ class TestEvaluateAndCompare:
                        "--seeds", "1", *BASE_OVERRIDES)
         assert code == 0
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("content", ["not json {", "[1, 2]", '{"format_version": 1}'],
+                             ids=["not-json", "not-an-object", "missing-key"])
+    def test_malformed_checkpoint_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(content)
+        out = tmp_path / "X"
+        code = run_cli("evaluate", "--out", out, "--policy", f"checkpoint:{path}", "--seeds", "1", *BASE_OVERRIDES)
+        assert code == 2
+        assert f"error: {path}: malformed checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_checkpoint_named_in_error(self, tmp_path, capsys):
         code = run_cli("compare", "--out", tmp_path / "x", "--policy", "none",

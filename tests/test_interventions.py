@@ -200,7 +200,7 @@ class TestTracing:
         expected = set(community)
         for layer in sim.pop.layers.values():
             for agent in diagnosed:
-                expected |= set(layer.dst[layer.src == agent].tolist())
+                expected |= set(layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]].tolist())
         new_q = run_tracing(sim, 1.0, diagnosed)
         assert new_q == len(expected)
         assert set(np.flatnonzero(sim.state.quarantine_start >= 0).tolist()) == expected
@@ -214,7 +214,8 @@ class TestTracing:
 
         # Candidates by layer, diagnosed agent and edge, then yesterday's
         # community contacts scanned from the day's full edge list.
-        chunks = [layer.dst[layer.src == agent] for layer in sim.pop.layers.values() for agent in diagnosed]
+        chunks = [layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]]
+                  for layer in sim.pop.layers.values() for agent in diagnosed]
         community = scan_community_contacts(community_edges(sim.prev_community), diagnosed)
         assert len(community) > 0
         candidates = np.concatenate(chunks + [community])
@@ -241,7 +242,7 @@ class TestTracing:
         assert sim.step_day(NULL_ACTION).new_infections > 0
         static = set()
         for layer in sim.pop.layers.values():
-            static |= set(layer.neighbors_of(infector).tolist())
+            static |= set(layer.dst[layer.indptr[infector]:layer.indptr[infector + 1]].tolist())
         infected = [i for i in np.flatnonzero(st.epi_state == EpiState.EXPOSED).tolist() if i not in static]
         assert infected, "no infection that only the community layer explains"
         case = infected[0]

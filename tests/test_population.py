@@ -81,54 +81,18 @@ def test_mean_contact_degree_tracks_config():
     assert school_degree == pytest.approx(cfg.contacts_s, rel=0.2)
 
 
-def test_neighbors_of_round_trip():
-    cfg = PopulationConfig(pop_size=200, total_pop=200)
-    pop = build(cfg)
-    hh = pop.layers["household"]
-    for agent in (0, 13, 199):
-        neighbors = hh.neighbors_of(agent)
-        same_house = np.nonzero(pop.household_id == pop.household_id[agent])[0]
-        assert set(neighbors.tolist()) == set(same_house.tolist()) - {agent}
-
-
-def _scan_edges(layer, ids):
-    """Edge indices leaving each id in turn, found by scanning all of src."""
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [np.flatnonzero(layer.src == i) for i in ids])
-
-
 def test_row_index_matches_edge_list():
     cfg = PopulationConfig(pop_size=600, total_pop=600)
     pop = build(cfg)
-    for layer in pop.layers.values():
+    for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
+        layer = pop.layers[name]
         assert len(layer.indptr) == cfg.pop_size + 1
-        assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.src)
+        assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.dst) == len(layer.src)
         for agent in range(cfg.pop_size):
-            np.testing.assert_array_equal(layer.neighbors_of(agent), layer.dst[layer.src == agent])
-
-
-def test_edges_from_matches_per_agent_scan():
-    cfg = PopulationConfig(pop_size=600, total_pop=600)
-    pop = build(cfg)
-    rng = np.random.default_rng(3)
-    not_in_school = np.flatnonzero(pop.school_id < 0)[:7]
-    not_working = np.flatnonzero(pop.work_id < 0)[:7]
-    id_sets = [
-        np.empty(0, dtype=np.int64),
-        np.arange(cfg.pop_size),
-        rng.integers(0, cfg.pop_size, size=80),  # unsorted, with repeats
-        [5, 5, 5],
-        not_in_school,
-        not_working,
-        np.concatenate([not_in_school, [11], not_working, [11]]),
-    ]
-    for layer in pop.layers.values():
-        for ids in id_sets:
-            edges = layer.edges_from(ids)
-            np.testing.assert_array_equal(edges, _scan_edges(layer, ids))
-            contacts = [layer.dst[layer.src == i] for i in ids]
-            np.testing.assert_array_equal(layer.dst[edges], np.concatenate([np.empty(0, dtype=np.int64)] + contacts))
-    assert len(not_in_school) and not len(pop.layers["school"].edges_from(not_in_school))
-    assert len(not_working) and not len(pop.layers["work"].edges_from(not_working))
+            row = layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]]
+            np.testing.assert_array_equal(row, layer.dst[layer.src == agent])
+            group = np.flatnonzero(group_id == group_id[agent]) if group_id[agent] >= 0 else [agent]
+            assert sorted(row.tolist()) == sorted(set(group) - {agent})
 
 
 def loop_partition(members, mean_contacts, rng):
@@ -264,25 +228,48 @@ def test_fractional_community_mean_gives_rounded_pair_count(n, contacts):
     assert set(zip(src.tolist(), dst.tolist())) == set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
 
 
-@pytest.mark.parametrize("contacts", [6.0, 7.3])
-def test_community_contacts_match_edge_list_scan(contacts):
-    n = 400
-    day = community_day(n, contacts, seed=5)
-    edges = community_edges(day)
+@pytest.mark.parametrize("layer_name,contacts_c", [
+    ("household", None), ("school", None), ("work", None), ("community", 20.0), ("community", 7.3),
+], ids=["household", "school", "work", "community-20", "community-7.3"])
+def test_contacts_match_edge_list_scan(layer_name, contacts_c):
+    """Every layer's contacts(ids), pair by pair and in order, against a scan of its full edge list."""
+    n = 600
+    pop = build(PopulationConfig(pop_size=n, total_pop=n))
+    if contacts_c is None:
+        layer = pop.layers[layer_name]
+
+        def scan(i):
+            return layer.dst[layer.src == i]
+    else:
+        layer = community_day(n, contacts_c, seed=5)
+        edges = community_edges(layer)
+
+        def scan(i):
+            return scan_community_contacts(edges, [i])
     rng = np.random.default_rng(3)
+    not_in_school = np.flatnonzero(pop.school_id < 0)[:7]
+    not_working = np.flatnonzero(pop.work_id < 0)[:7]
     id_sets = [
         np.empty(0, dtype=np.int64),
         np.arange(n),
         rng.integers(0, n, size=80),  # unsorted, with repeats
         [5, 5, 5],
-        day.agent_at[[0, day.partial_edges - 1, day.partial_edges, n - 1]],  # either side of the partial cut
+        not_in_school,
+        not_working,
+        np.concatenate([not_in_school, [11], not_working, [11]]),
     ]
+    if contacts_c is not None:
+        cut = layer.partial_edges
+        id_sets.append(layer.agent_at[[0, cut - 1, cut, n - 1]])  # either side of the partial cut
     for ids in id_sets:
-        src, dst = day.contacts(ids)
-        expected = scan_community_contacts(edges, ids)
-        np.testing.assert_array_equal(dst, expected)
-        degrees = [len(scan_community_contacts(edges, [i])) for i in ids]
-        np.testing.assert_array_equal(src, np.repeat(np.asarray(ids, dtype=np.int64), degrees))
+        src, dst = layer.contacts(ids)
+        rows = [scan(i) for i in ids]
+        assert src.dtype == dst.dtype == np.int64
+        np.testing.assert_array_equal(src, np.repeat(np.asarray(ids, dtype=np.int64), [len(r) for r in rows]))
+        np.testing.assert_array_equal(dst, np.concatenate([np.empty(0, dtype=np.int64)] + rows))
+    if layer_name in ("school", "work"):
+        outside = not_in_school if layer_name == "school" else not_working
+        assert len(outside) and not len(layer.contacts(outside)[0])
 
 
 @pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 7.3), (9, 8.0)])

@@ -22,7 +22,6 @@ from epictrl import simulator
 from epictrl.interventions import Action, NULL_ACTION
 from epictrl.population import CommunityDay
 from epictrl.simulator import (
-    IS_INFECTED,
     TRANSMISSION_LAYERS,
     AgentState,
     DailyCounts,
@@ -34,6 +33,11 @@ from epictrl.simulator import (
 )
 
 from tests.episodes import constant_policy, ungated_series
+
+# Infected states as a lookup table, kept here so the references below do
+# not share the simulator's range tests.
+IS_INFECTED = np.zeros(len(EpiState), dtype=bool)
+IS_INFECTED[[EpiState.EXPOSED, EpiState.I_ASYMPTOMATIC, EpiState.I_MILD, EpiState.I_SEVERE]] = True
 
 
 def make_sim(pop_size=500, pop_infected=5, seed=1, **pop_kwargs) -> Simulation:
@@ -297,9 +301,11 @@ def per_layer_transmit(sim, ch_beta, rng):
 
     candidates = []
     for name, layer in sim.pop.layers.items():
-        e = layer.edges_from(infectious_ids)
-        e = e[susceptible[layer.dst[e]]]
-        candidates.append((name, layer.src[e], layer.dst[e]))
+        rows = [layer.dst[layer.indptr[i]:layer.indptr[i + 1]] for i in infectious_ids]
+        s = np.repeat(infectious_ids, [len(row) for row in rows])
+        d = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
+        keep = susceptible[d]
+        candidates.append((name, s[keep], d[keep]))
     c_src, c_dst = sim.community.contacts(infectious_ids)
     keep = susceptible[c_dst]
     candidates.append(("community", c_src[keep], c_dst[keep]))

@@ -1,5 +1,8 @@
 """Training orchestration: evaluation determinism, checkpoint resume."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from epictrl.agents import load_checkpoint, policy_from_checkpoint, save_checkpo
 from epictrl.agents.networks import flat_params
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
 from epictrl.env import EpidemicEnv, evaluate, summarize
+from epictrl.errors import ConfigurationError
 from epictrl.interventions import NULL_ACTION, Action
 from epictrl.simulator import Simulation
 
@@ -124,6 +128,23 @@ class TestCheckpointResume:
         assert len(episodes[0].series) == fast_cfg.env.episode_days
         # The loaded agent acts greedily, exactly as the trained one does.
         assert episodes[0].series == evaluate(result.agent, env, [7])[0].series
+
+    @pytest.mark.parametrize("drop", ["agent_kind", "rng_state", "curve"])
+    def test_checkpoint_missing_a_key_is_a_configuration_error(self, fast_cfg, tmp_path, drop):
+        train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg, total_episodes=0, seed=3,
+              checkpoint_dir=str(tmp_path))
+        path = tmp_path / "checkpoint_final.json"
+        data = json.loads(path.read_text())
+        del data[drop]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: malformed checkpoint (KeyError: '{drop}')")):
+            load_checkpoint(str(path))
+
+    def test_checkpoint_that_is_not_json_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text('{"format_version": 1,')
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: malformed checkpoint (JSONDecodeError: ")):
+            load_checkpoint(str(path))
 
     def test_missing_checkpoint_dir_is_created_before_training(self, fast_cfg, tmp_path):
         checkpoint_dir = tmp_path / "new" / "deeper"
