@@ -81,6 +81,17 @@ def test_mean_contact_degree_tracks_config():
     assert school_degree == pytest.approx(cfg.contacts_s, rel=0.2)
 
 
+def test_neighbors_of_round_trip():
+    cfg = PopulationConfig(pop_size=200, total_pop=200)
+    pop = build(cfg)
+    hh = pop.layers["household"]
+    for agent in (0, 13, 199):
+        src, neighbors = hh.contacts(np.array([agent]))
+        assert (src == agent).all()
+        same_house = np.nonzero(pop.household_id == pop.household_id[agent])[0]
+        assert set(neighbors.tolist()) == set(same_house.tolist()) - {agent}
+
+
 def test_row_index_matches_edge_list():
     cfg = PopulationConfig(pop_size=600, total_pop=600)
     pop = build(cfg)
