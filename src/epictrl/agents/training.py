@@ -83,12 +83,7 @@ def train(
 
     curve: list[float] = []
     if resume_from is not None:
-        agent, meta = load_checkpoint(resume_from)
-        if meta["agent_kind"] != agent_kind or meta["space_kind"] != space_kind:
-            raise ConfigurationError(
-                f"checkpoint is {meta['agent_kind']}/{meta['space_kind']}, "
-                f"requested {agent_kind}/{space_kind}"
-            )
+        agent, meta = load_resume_checkpoint(resume_from, agent_kind, space_kind)
         if meta["obs_dim"] != obs_dim:
             raise ShapeError(f"checkpoint obs_dim {meta['obs_dim']} != env {obs_dim}")
         curve = list(meta["curve"])
@@ -176,6 +171,16 @@ def load_checkpoint(path: str):
                 ("agent_kind", "space_kind", "obs_dim", "episodes_trained", "curve", "master_seed")}
     except (json.JSONDecodeError, KeyError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
+    return agent, meta
+
+
+def load_resume_checkpoint(path: str, agent_kind: str, space_kind: str):
+    """load_checkpoint, refusing a checkpoint of another agent kind or action space."""
+    agent, meta = load_checkpoint(path)
+    if meta["agent_kind"] != agent_kind or meta["space_kind"] != space_kind:
+        raise ConfigurationError(
+            f"checkpoint is {meta['agent_kind']}/{meta['space_kind']}, requested {agent_kind}/{space_kind}"
+        )
     return agent, meta
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agents import policy_from_checkpoint, train
+from .agents.training import load_resume_checkpoint, policy_from_checkpoint, train
 from .analysis import (
     compare_strategies,
     estimate_rt,
@@ -290,8 +290,10 @@ def cmd_train(args) -> int:
         raise UsageError("dqn requires --space discrete")
     if args.episodes < 0:
         raise UsageError("--episodes must be >= 0")
-    if args.resume and not Path(args.resume).is_file():
-        raise UsageError(f"resume checkpoint not found: {args.resume}")
+    if args.resume:
+        if not Path(args.resume).is_file():
+            raise UsageError(f"resume checkpoint not found: {args.resume}")
+        load_resume_checkpoint(args.resume, args.agent, args.space)  # a bad one fails before the out dir exists
     cfg.env.action_space_kind = args.space
     inputs = [p for p in [args.config, args.resume] if p]
     out = write_manifest(args, cfg, args.seed, inputs, {

@@ -9,7 +9,8 @@ directions of every ``np.triu_indices`` pair would give. The community layer
 is not built here: each simulated day draws a new CommunityDay (see
 simulator.Simulation), a circulant graph over a random relabelling of the
 agents. Every layer answers "who met these agents" with ``contacts(ids) ->
-(src, dst)``, in the order of the ids and then of each id's contacts.
+(counts, dst)``: each id's contact count, and the contacts by id and then by
+edge or offset; a caller that needs sources takes ``np.repeat(ids, counts)``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ class Layer:
         return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), np.diff(self.indptr))
 
     def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) of every contact of ``ids``, in the order of the ids and then of the edges.
+        """(counts, dst): the int64 contact count of each of ``ids``, and the contacts, by id and then edge.
 
-        Repeated ids give their contacts again; for ascending unique ids the
-        pairs keep the layer's own edge order.
+        Repeated ids give their contacts again; for ascending unique ids,
+        ``np.repeat(ids, counts)`` and dst keep the layer's own edge order.
         """
         ids = np.asarray(ids, dtype=np.int64)
         lo = self.indptr[ids]
@@ -56,7 +57,7 @@ class Layer:
         # Row k's edges are lo[k], lo[k] + 1, ...: one arange over the whole
         # gather, shifted per row by lo[k] minus the row's start in it.
         shift = lo - (np.cumsum(counts) - counts)
-        return np.repeat(ids, counts), self.dst[np.repeat(shift, counts) + np.arange(counts.sum())]
+        return counts, self.dst[np.repeat(shift, counts) + np.arange(counts.sum())]
 
 
 def community_offsets(n: int, contacts: float) -> tuple[int, int]:
@@ -124,7 +125,7 @@ class CommunityDay:
         return cls(agent_at, slot_of, offsets, partial)
 
     def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) of every contact of ``ids``, in the order of the ids, then of the offsets.
+        """(counts, dst): the int64 contact count of each of ``ids``, and the contacts, by id and then offset.
 
         Each offset gives its forward contact (slot + o), then its backward
         one (slot - o); under the partial offset only those whose lower slot
@@ -140,14 +141,13 @@ class CommunityDay:
         slots = self.slot_of[ids]
         nbr = slots[:, None] + steps
         np.subtract(nbr, n, out=nbr, where=nbr >= n)
-        src = np.repeat(ids, len(steps))
-        if self.partial_edges:
-            m = self.partial_edges
-            exists = np.ones(nbr.shape, dtype=bool)
-            exists[:, -2] = slots < m
-            exists[:, -1] = nbr[:, -1] < m
-            return src[exists.ravel()], self.agent_at[nbr[exists]]
-        return src, self.agent_at[nbr.ravel()]
+        if not self.partial_edges:
+            return np.full(len(ids), len(steps), dtype=np.int64), self.agent_at[nbr.ravel()]
+        m = self.partial_edges
+        exists = np.ones(nbr.shape, dtype=bool)
+        exists[:, -2] = slots < m
+        exists[:, -1] = nbr[:, -1] < m
+        return len(steps) - 2 + exists[:, -2] + exists[:, -1], self.agent_at[nbr[exists]]
 
 
 @dataclass

@@ -11,17 +11,19 @@ they are needed). Only the three infectious states transmit; DEAD and
 RECOVERED are absorbing. Transmission runs over four contact layers:
 household/school/work cliques (static per run) and a community layer drawn
 anew every day as a circulant graph over a random relabelling of the agents
-(population.CommunityDay). Every layer answers contacts(ids), and
-transmission and tracing ask it only for the agents they concern, so a
-day's cost follows the epidemic rather than the number of community pairs.
+(population.CommunityDay). Every layer answers contacts(ids) with each
+id's contact count and the contacts, and transmission and tracing ask it
+only for the agents they concern, so a day's cost follows the epidemic
+rather than the number of community pairs.
 
 A day's transmission is one pass over all layers at once: every (infectious
 source, susceptible target) contact is a candidate, its infection
 probability is read from a small table indexed by layer, source key
 (asymptomatic, diagnosed, quarantined) and target key (age band,
-quarantined), and one uniform draw per candidate decides it. The table holds
-the same float64 products a per-candidate computation would make, in the
-same order, and is rebuilt only when the lockdown level changes.
+quarantined), and one uniform draw per candidate decides it. Each source's
+key is repeated over its contact count; no source id per candidate is built.
+The table holds the same float64 products a per-candidate computation would
+make, in the same order, and is rebuilt only when the lockdown level changes.
 
 Everything stochastic draws from named substreams of a single master seed
 in a fixed order, which makes whole runs bit-reproducible.
@@ -406,36 +408,35 @@ class Simulation:
         if not len(infectious_ids):
             return np.empty(0, dtype=np.int64)
         susceptible = epi == SUSCEPTIBLE
+        quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
+        source_key = (TARGET_KEYS * (
+            (epi[infectious_ids] == I_ASYMPTOMATIC)
+            + 2 * (st.diagnosed_day[infectious_ids] >= 0)
+            + 4 * quarantined[infectious_ids]
+        )).astype(np.int16)
 
-        src_chunks: list[np.ndarray] = []
+        # Each source's int16 table key per layer repeats over its contacts,
+        # and candidates are compacted by index: at the null action about 44%
+        # are kept, near-randomly, and a boolean mask took four times as long.
+        key_chunks: list[np.ndarray] = []
         dst_chunks: list[np.ndarray] = []
-        for layer in (*self.pop.layers.values(), self.community):
-            src, dst = layer.contacts(infectious_ids)
-            keep = susceptible[dst]
-            src_chunks.append(src[keep])
-            dst_chunks.append(dst[keep])
-        del src, dst, keep
-        sizes = [len(d) for d in dst_chunks]
-        if not sum(sizes):
+        for i, layer in enumerate((*self.pop.layers.values(), self.community)):
+            counts, dst = layer.contacts(infectious_ids)
+            keep = np.flatnonzero(susceptible[dst])
+            dst_chunks.append(dst.take(keep))
+            key_chunks.append(np.repeat(source_key + i * LAYER_STRIDE, counts).take(keep))
+        del counts, dst, keep
+        if not sum(len(d) for d in dst_chunks):
             return np.empty(0, dtype=np.int64)
 
         if ch_beta != self._p_table_beta:
             self._p_table_beta, self._p_table = ch_beta, self._probability_table(ch_beta)
-        quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
         target_key = self.pop.age_bands * 2 + quarantined
-        # Keys are read only at sources, which are all infectious.
-        source_key = np.zeros(len(epi), dtype=np.int16)
-        source_key[infectious_ids] = TARGET_KEYS * (
-            (epi[infectious_ids] == I_ASYMPTOMATIC)
-            + 2 * (st.diagnosed_day[infectious_ids] >= 0)
-            + 4 * quarantined[infectious_ids]
-        )
         # A 100k-agent day near the epidemic's peak has about 300k
         # candidates, so each whole-day array is dropped once used: the pass
         # then holds no more at a time than a sweep one layer at a time.
-        entry = np.repeat(np.arange(len(TRANSMISSION_LAYERS)) * LAYER_STRIDE, sizes)
-        entry += source_key[np.concatenate(src_chunks)]
-        del src_chunks
+        entry = np.concatenate(key_chunks)
+        del key_chunks
         dst = np.concatenate(dst_chunks)
         del dst_chunks
         entry += target_key[dst]
@@ -539,28 +540,19 @@ class Simulation:
 
     def _emit_counts(self, **flows: int) -> DailyCounts:
         st = self.state
-        stocks = np.bincount(st.epi_state, minlength=len(EpiState))
-        infectious = int(stocks[I_ASYMPTOMATIC] + stocks[I_MILD] + stocks[I_SEVERE])
-        alive = st.epi_state != DEAD
-        in_quarantine = (
-            (st.quarantine_start >= 0)
-            & (st.quarantine_start <= self.day)
-            & (self.day < st.quarantine_until)
-            & alive
-        )
+        epi = st.epi_state
+        # count_nonzero reads the int8 states as they are; bincount would cast them all to intp.
+        S, E, R, D = (int(np.count_nonzero(epi == s)) for s in (SUSCEPTIBLE, EXPOSED, RECOVERED, DEAD))
+        infectious = len(epi) - S - E - R - D
+        in_quarantine = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
+        in_quarantine &= epi != DEAD
         return DailyCounts(
-            day=self.day,
-            S=int(stocks[SUSCEPTIBLE]),
-            E=int(stocks[EXPOSED]),
-            I=infectious,
-            R=int(stocks[RECOVERED]),
-            D=int(stocks[DEAD]),
+            day=self.day, S=S, E=E, I=infectious, R=R, D=D,
             cumulative_tests=self.cum_tests,
             cumulative_quarantined=self.cum_quarantined,
             cumulative_diagnoses=self.cum_diagnoses,
-            currently_infected=int(stocks[EXPOSED]) + infectious,
-            currently_quarantined=int(in_quarantine.sum()),
-            cumulative_dead=int(stocks[DEAD]),
+            currently_infected=E + infectious,
+            currently_quarantined=int(np.count_nonzero(in_quarantine)),
+            cumulative_dead=D,
             **{k: int(v) for k, v in flows.items()},
         )
-

@@ -210,6 +210,27 @@ class TestTrain:
         assert len(curve2) == 5  # header + 4 episodes, no index gap
         assert curve2[1:3] == curve[1:3]
 
+    def test_malformed_resume_checkpoint_leaves_no_output_dir(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format_version": 1}')
+        out = tmp_path / "X"
+        code = run_cli("train", "--out", out, "--agent", "ppo", "--space", "continuous",
+                       "--episodes", 1, "--resume", path, *BASE_OVERRIDES)
+        assert code == 2
+        assert f"error: {path}: malformed checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_checkpoint_of_another_kind_leaves_no_output_dir(self, tmp_path, capsys):
+        first = tmp_path / "ppo"
+        assert run_cli("train", "--out", first, "--agent", "ppo", "--space", "continuous",
+                       "--episodes", 0, *BASE_OVERRIDES) == 0
+        out = tmp_path / "X"
+        code = run_cli("train", "--out", out, "--agent", "ppo", "--space", "discrete",
+                       "--episodes", 1, "--resume", first / "checkpoint_final.json", *BASE_OVERRIDES)
+        assert code == 2
+        assert "checkpoint is ppo/continuous, requested ppo/discrete" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateAndCompare:
     def test_evaluate_writes_metrics_and_traces(self, tmp_path):

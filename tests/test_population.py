@@ -13,6 +13,16 @@ def build(config, seed=7):
     return synthesize_population(config, substream(seed, "population"))
 
 
+def contact_pairs(layer, ids) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of layer.contacts(ids), the sources rebuilt from its counts once those are checked."""
+    ids = np.asarray(ids, dtype=np.int64)
+    counts, dst = layer.contacts(ids)
+    assert counts.dtype == np.int64
+    assert len(counts) == len(ids)
+    assert counts.sum() == len(dst)
+    return np.repeat(ids, counts), dst
+
+
 def test_pop_scale_arithmetic():
     cfg = PopulationConfig(pop_size=10_000, total_pop=67.86e6)
     assert cfg.pop_scale == pytest.approx(6786.0)
@@ -86,7 +96,7 @@ def test_neighbors_of_round_trip():
     pop = build(cfg)
     hh = pop.layers["household"]
     for agent in (0, 13, 199):
-        src, neighbors = hh.contacts(np.array([agent]))
+        src, neighbors = contact_pairs(hh, [agent])
         assert (src == agent).all()
         same_house = np.nonzero(pop.household_id == pop.household_id[agent])[0]
         assert set(neighbors.tolist()) == set(same_house.tolist()) - {agent}
@@ -211,7 +221,7 @@ def scan_community_contacts(edges, ids) -> np.ndarray:
 @pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 4.0), (9, 8.0), (2, 0.01)])
 def test_community_degree_is_exactly_c_and_symmetric(n, contacts):
     day = community_day(n, contacts)
-    src, dst = day.contacts(np.arange(n))
+    src, dst = contact_pairs(day, np.arange(n))
     np.testing.assert_array_equal(np.bincount(src, minlength=n), np.full(n, int(contacts)))
     assert not (src == dst).any()
     pairs = set(zip(src.tolist(), dst.tolist()))
@@ -234,7 +244,7 @@ def test_fractional_community_mean_gives_rounded_pair_count(n, contacts):
     day = community_day(n, contacts)
     u, v, _ = community_edges(day)
     assert len(u) == round(n * contacts / 2)
-    src, dst = day.contacts(np.arange(n))
+    src, dst = contact_pairs(day, np.arange(n))
     assert len(src) == 2 * len(u)
     assert set(zip(src.tolist(), dst.tolist())) == set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
 
@@ -273,14 +283,14 @@ def test_contacts_match_edge_list_scan(layer_name, contacts_c):
         cut = layer.partial_edges
         id_sets.append(layer.agent_at[[0, cut - 1, cut, n - 1]])  # either side of the partial cut
     for ids in id_sets:
-        src, dst = layer.contacts(ids)
+        src, dst = contact_pairs(layer, ids)
         rows = [scan(i) for i in ids]
         assert src.dtype == dst.dtype == np.int64
         np.testing.assert_array_equal(src, np.repeat(np.asarray(ids, dtype=np.int64), [len(r) for r in rows]))
         np.testing.assert_array_equal(dst, np.concatenate([np.empty(0, dtype=np.int64)] + rows))
     if layer_name in ("school", "work"):
         outside = not_in_school if layer_name == "school" else not_working
-        assert len(outside) and not len(layer.contacts(outside)[0])
+        assert len(outside) and not len(contact_pairs(layer, outside)[1])
 
 
 @pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 7.3), (9, 8.0)])

@@ -33,6 +33,7 @@ from epictrl.simulator import (
 )
 
 from tests.episodes import constant_policy, ungated_series
+from tests.test_population import contact_pairs
 
 # Infected states as a lookup table, kept here so the references below do
 # not share the simulator's range tests.
@@ -105,7 +106,7 @@ class TestCommunityLayer:
         sim.step_day(NULL_ACTION)
         assert sim.prev_community is first
         assert not np.array_equal(sim.community.agent_at, first.agent_at)
-        src, _ = sim.community.contacts(np.arange(500))
+        src, _ = contact_pairs(sim.community, np.arange(500))
         assert len(src) == 500 * 20
 
 
@@ -306,7 +307,7 @@ def per_layer_transmit(sim, ch_beta, rng):
         d = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
         keep = susceptible[d]
         candidates.append((name, s[keep], d[keep]))
-    c_src, c_dst = sim.community.contacts(infectious_ids)
+    c_src, c_dst = contact_pairs(sim.community, infectious_ids)
     keep = susceptible[c_dst]
     candidates.append(("community", c_src[keep], c_dst[keep]))
 
@@ -441,6 +442,46 @@ class TestProgression:
         counts = sim.step_day(NULL_ACTION)
         assert counts.new_severe == 1
         assert sim.state.epi_state[agent] == EpiState.I_SEVERE
+
+
+class TestEmitCounts:
+    def test_stocks_and_quarantine_match_a_bincount_reference(self):
+        sim = make_sim(pop_size=500)
+        st = sim.state
+        sim.day = day = 9
+        rng = np.random.default_rng(4)
+        st.epi_state[:] = rng.integers(0, len(EpiState), size=500)
+        st.quarantine_start[:] = rng.integers(-1, 2 * day, size=500)
+        st.quarantine_until[:] = np.where(st.quarantine_start >= 0, st.quarantine_start + rng.integers(1, 15, 500), -1)
+        # Agent 0's quarantine starts today, agent 1's ends today (its end
+        # is exclusive), and agent 2 is dead in quarantine.
+        st.quarantine_start[:3] = day, day - 14, day - 2
+        st.quarantine_until[:3] = day + 14, day, day + 12
+        st.epi_state[:3] = EpiState.SUSCEPTIBLE, EpiState.I_MILD, EpiState.DEAD
+        sim.cum_tests, sim.cum_quarantined, sim.cum_diagnoses = 31, 17, 5
+        flows = dict(new_infections=4, new_severe=1, new_deaths=2, new_recovered=3,
+                     new_tests=6, new_quarantined=7, new_diagnoses=8)
+
+        counts = sim._emit_counts(**flows)
+
+        stocks = np.bincount(st.epi_state, minlength=len(EpiState))
+        assert (stocks > 0).all()  # every state occurs
+        in_quarantine = np.array([
+            st.quarantine_start[i] >= 0 and st.quarantine_start[i] <= day < st.quarantine_until[i]
+            and st.epi_state[i] != EpiState.DEAD
+            for i in range(500)
+        ])
+        assert in_quarantine[0] and not in_quarantine[1] and not in_quarantine[2]
+        infectious = int(stocks[EpiState.I_ASYMPTOMATIC] + stocks[EpiState.I_MILD] + stocks[EpiState.I_SEVERE])
+        expected = DailyCounts(
+            day=day, S=int(stocks[EpiState.SUSCEPTIBLE]), E=int(stocks[EpiState.EXPOSED]), I=infectious,
+            R=int(stocks[EpiState.RECOVERED]), D=int(stocks[EpiState.DEAD]),
+            cumulative_tests=31, cumulative_quarantined=17, cumulative_diagnoses=5,
+            currently_infected=int(stocks[EpiState.EXPOSED]) + infectious,
+            currently_quarantined=int(in_quarantine.sum()), cumulative_dead=int(stocks[EpiState.DEAD]), **flows,
+        )
+        assert counts == expected
+        assert repr(counts) == repr(expected)  # plain ints, not numpy scalars
 
 
 class TestPolicyConsumption:
