@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import asdict
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -143,21 +144,21 @@ class TestSimulate:
         assert code == 0
 
 
+def write_observed(directory: Path) -> Path:
+    """25 days of observed cases growing 15% a day, deaths a twentieth of them."""
+    rows = ["date,cum_confirmed,cum_deaths"]
+    value = 10.0
+    for i in range(25):
+        rows.append(f"{(date(2020, 1, 21) + timedelta(days=i)).isoformat()},{value:.0f},{value / 20:.0f}")
+        value *= 1.15
+    path = directory / "observed.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestCalibrate:
-    def _write_observed(self, tmp_path):
-        from datetime import date, timedelta
-
-        rows = ["date,cum_confirmed,cum_deaths"]
-        value = 10.0
-        for i in range(25):
-            rows.append(f"{(date(2020, 1, 21) + timedelta(days=i)).isoformat()},{value:.0f},{value / 20:.0f}")
-            value *= 1.15
-        path = tmp_path / "observed.csv"
-        path.write_text("\n".join(rows) + "\n")
-        return path
-
     def test_single_trial_log_and_reloadable_params(self, tmp_path):
-        data = self._write_observed(tmp_path)
+        data = write_observed(tmp_path)
         out = tmp_path / "cal"
         code = run_cli("calibrate", "--out", out, "--seed", 1, "--data", data,
                        "--trials", 1, "--replications", 1,

@@ -4,8 +4,9 @@ Each case hashes ``repr`` of a run's output with SHA-256: the DailyCounts
 series of 133 ``step_day`` calls under one fixed action, of a schedule
 policy's episode with and without activation gating, the per-episode
 returns of short PPO and DQN training runs, and the trial losses of a small
-calibration search. The final checkpoint files of those training runs are
-hashed byte for byte. Any change that moves a single random draw or count
+calibration search. The final checkpoint files of those training runs, and
+the output files of a small ``epictrl calibrate`` run, are hashed byte for
+byte. Any change that moves a single random draw or count
 fails here, not only a change that makes two runs in one process disagree.
 
 A deliberate model change re-records every table at once. From the root of
@@ -16,7 +17,9 @@ the repository,
 prints each case's current digest in the layout of the tables below.
 """
 
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -26,10 +29,12 @@ from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation, si
 from epictrl.agents import train
 from epictrl.baselines import seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import CalibrationSpec, search
+from epictrl.cli import main
 from epictrl.env import evaluate
 
 from tests.episodes import ungated_series
 from tests.test_calibration import cheap_setup, synthetic_observed
+from tests.test_cli import BASE_OVERRIDES, write_observed
 
 N_DAYS = 133
 # "trace-heavy" quarantines many contacts, so quarantined agents sit at both
@@ -230,6 +235,32 @@ def test_search_fingerprint():
     assert search_digest() == SEARCH_FINGERPRINT
 
 
+# SHA-256 of the bytes of each output file of `epictrl calibrate` at 400
+# agents: four trials (three Sobol points, one local step) of two
+# replications each, and the best fit replayed against the observed series.
+CALIBRATE_CLI_FINGERPRINTS = {
+    "best_params.yaml": "a441581e9061f18d831ad83c899e2560c38c856bc51e7a29a30c2093cce05526",
+    "fit_comparison.csv": "edc5e5330df0d1eee9285613d0c6db5566b435c98a9b9cb0fd3d2c5a1a6f613c",
+    "trial_log.csv": "422778104812b20b70ad2c3eaf8c6bb9462872060b4a4ec91f7cf41f6ff8a444",
+}
+
+
+def calibrate_cli_digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "cal")
+        args = ["calibrate", "--out", str(out), "--seed", "1", "--data", str(write_observed(Path(tmp))),
+                "--trials", "4", "--replications", "2",
+                "--pop-infected-range", "4,20", "--beta-range", "0.02,0.2", *BASE_OVERRIDES]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in sorted(CALIBRATE_CLI_FINGERPRINTS)}
+
+
+def test_calibrate_cli_fingerprint():
+    assert calibrate_cli_digests() == CALIBRATE_CLI_FINGERPRINTS
+
+
 def _table(name, rows) -> str:
     body = "".join(f"    {key!r}: {value!r},\n".replace("'", '"') for key, value in rows)
     return f"{name} = {{\n{body}}}"
@@ -252,6 +283,7 @@ def print_current_digests() -> None:
     print(_table("TRAINING_FINGERPRINTS", [(key, value[0]) for key, value in training.items()]))
     print(_table("CHECKPOINT_FINGERPRINTS", [(key, value[1]) for key, value in training.items()]))
     print(f'SEARCH_FINGERPRINT = "{search_digest()}"')
+    print(_table("CALIBRATE_CLI_FINGERPRINTS", calibrate_cli_digests().items()))
 
 
 if __name__ == "__main__":
