@@ -6,8 +6,6 @@ phase, Gaussian local refinement) to recover it. Uses a reduced trial count
 so the demo finishes in about half a minute.
 """
 
-import dataclasses
-
 import numpy as np
 
 from epictrl import FullConfig
@@ -16,25 +14,22 @@ from epictrl.calibration import (
     CalibrationSpec,
     ObservedSeries,
     search,
-    sim_series_to_observed,
-    ungated_env,
+    simulate_observed,
 )
-from epictrl.env import evaluate
 
 TRUE_BETA = 0.006
 TRUE_POP_INFECTED = 10.0
 
 cfg = FullConfig()
-pop = dataclasses.replace(
-    cfg.population, pop_size=2000, total_pop=2000.0,
-    pop_infected=TRUE_POP_INFECTED, beta_initial=TRUE_BETA,
-)
+cfg.population.pop_size = 2000
+cfg.population.total_pop = 2000.0
+cfg.population.pop_infected = TRUE_POP_INFECTED
+cfg.population.beta_initial = TRUE_BETA
 policy = uk_approximation_schedule()
 
-# The schedule applies on its dates from day 0, as in the search itself.
-env = ungated_env(pop, cfg.disease, cfg.interventions, n_days=100)
-replicas = [sim_series_to_observed(ep.series, pop.pop_scale)
-            for ep in evaluate(policy, env, [1000, 1001, 1002])]
+# Three replications scaled to observed series by the search's own
+# replication path; the schedule applies on its dates from day 0.
+replicas = simulate_observed(cfg, policy, 100, [1000, 1001, 1002])
 observed = ObservedSeries(
     replicas[0].dates,
     np.mean([r.cum_confirmed for r in replicas], axis=0),
@@ -47,8 +42,7 @@ spec = CalibrationSpec(
     pop_infected_range=(2, 40), beta_range=(0.002, 0.015),
     trials=40, replications=2, seed=7,
 )
-result = search(spec, observed, pop, cfg.disease, cfg.interventions,
-                policy=policy, n_days=100)
+result = search(spec, observed, cfg, policy=policy, n_days=100)
 
 print(f"\nbest after {spec.trials} trials:")
 print(f"  beta_initial  {result.best_beta_initial:.5f}  "

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..config import FullConfig
 from ..errors import ConfigurationError, ShapeError
+from ..interventions import N_DISCRETE_ACTIONS
 from .dqn import DQNAgent
 from .ppo import PPOAgent
 
@@ -33,12 +34,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 def episode_seed(master_seed: int, episode_index: int) -> int:
     """Stable per-episode environment seed."""
     return int(np.random.SeedSequence((master_seed, episode_index)).generate_state(1)[0])
-
-
-def _env_actions(env) -> int:
-    from ..interventions import N_DISCRETE_ACTIONS
-
-    return int(getattr(env, "n_actions", N_DISCRETE_ACTIONS))
 
 
 def make_agent(agent_kind: str, space_kind: str, obs_dim: int, n_actions: int,
@@ -89,7 +84,7 @@ def train(
         curve = list(meta["curve"])
         seed = meta["master_seed"]
     else:
-        agent = make_agent(agent_kind, space_kind, obs_dim, _env_actions(env), config, seed)
+        agent = make_agent(agent_kind, space_kind, obs_dim, N_DISCRETE_ACTIONS, config, seed)
 
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)

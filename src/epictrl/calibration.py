@@ -6,6 +6,12 @@ perturbations around the incumbent. Each trial averages the loss over
 several seeded simulator replications because a 10^4-agent run is noisy.
 The loss compares pop_scale-scaled cumulative diagnoses and deaths against
 the observed national series with a mean squared relative error.
+
+simulate_observed is the one replication path: it runs a policy on ungated
+episodes of a FullConfig and scales each up to an ObservedSeries. The
+search's trials and the best-fit replay of fit_comparison_to_csv both use
+it, with seeds from replication_seeds, and both compare dates through the
+same join.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ import numpy as np
 from scipy.stats import qmc
 
 from .baselines import null_policy
-from .config import DiseaseConfig, EnvConfig, FullConfig, InterventionConfig, PopulationConfig
+from .config import EnvConfig, FullConfig
 from .env import EpidemicEnv, evaluate
 from .errors import AlignmentError, ConfigurationError, ScheduleParseError, SearchError
-from .simulator import DailyCounts
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_START_DATE = date(2020, 1, 21)
+START_DATE = date(2020, 1, 21)  # the date of simulated day 0
+GLOBAL_FRACTION = 0.7  # share of the trials in the Sobol phase
+LOCAL_SCALE = 0.1  # Gaussian step of the local phase, as a fraction of each range width
 
 
 @dataclass
@@ -91,11 +98,6 @@ class CalibrationSpec:
     trials: int = 100
     replications: int = 3
     seed: int = 0
-    case_weight: float = 1.0
-    death_weight: float = 1.0
-    global_fraction: float = 0.7
-    local_scale: float = 0.1  # Gaussian perturbation scale, fraction of range width
-    start_date: date = DEFAULT_START_DATE
 
     def validate(self) -> None:
         for name, (lo, hi) in (("pop_infected_range", self.pop_infected_range), ("beta_range", self.beta_range)):
@@ -125,57 +127,63 @@ class SearchResult:
     trials: list[Trial]
 
 
-def ungated_env(
-    pop_cfg: PopulationConfig,
-    disease_cfg: DiseaseConfig,
-    int_cfg: InterventionConfig,
-    n_days: int,
-) -> EpidemicEnv:
-    """An n_days episode environment that applies every action from day 0."""
+def point_config(cfg: FullConfig, pop_infected: float, beta_initial: float) -> FullConfig:
+    """cfg with the two fitted parameters set to one point of the search box."""
+    population = dataclasses.replace(cfg.population, pop_infected=pop_infected, beta_initial=beta_initial)
+    return dataclasses.replace(cfg, population=population)
+
+
+def replication_seeds(seed: int, trial: int, replications: int) -> list[int]:
+    """Simulator seeds of one trial's replications under a search seed."""
+    return [int(np.random.SeedSequence((seed, trial, rep)).generate_state(1)[0]) for rep in range(replications)]
+
+
+def ungated_env(cfg: FullConfig, n_days: int) -> EpidemicEnv:
+    """An n_days episode environment that applies every action from day 0.
+
+    It reads cfg's population, disease and intervention sections only.
+    """
     # A dated real-world schedule applies on its dates, whatever the diagnoses.
     env_cfg = EnvConfig(episode_days=n_days, activation_threshold=0)
-    return EpidemicEnv(FullConfig(pop_cfg, disease_cfg, int_cfg, env=env_cfg))
+    return EpidemicEnv(FullConfig(cfg.population, cfg.disease, cfg.interventions, env=env_cfg))
 
 
-def sim_series_to_observed(
-    series: list[DailyCounts],
-    pop_scale: float,
-    start_date: date = DEFAULT_START_DATE,
-) -> ObservedSeries:
-    """Scale a simulated run up to the real population as an observed series.
+def simulate_observed(cfg: FullConfig, policy, n_days: int, seeds: list[int]) -> list[ObservedSeries]:
+    """Each seed's ungated n_days episode, scaled up to the real population.
 
-    Simulated cumulative diagnoses stand in for confirmed cases.
+    Simulated cumulative diagnoses stand in for confirmed cases, and
+    simulated day 0 is START_DATE.
     """
-    dates = [start_date + timedelta(days=c.day) for c in series]
-    confirmed = np.array([c.cumulative_diagnoses for c in series], dtype=np.float64) * pop_scale
-    deaths = np.array([c.cumulative_dead for c in series], dtype=np.float64) * pop_scale
-    return ObservedSeries(dates, confirmed, deaths)
+    scale = cfg.population.pop_scale
+    replicas = []
+    for episode in evaluate(policy, ungated_env(cfg, n_days), seeds):
+        series = episode.series
+        replicas.append(ObservedSeries(
+            [START_DATE + timedelta(days=c.day) for c in series],
+            np.array([c.cumulative_diagnoses for c in series], dtype=np.float64) * scale,
+            np.array([c.cumulative_dead for c in series], dtype=np.float64) * scale,
+        ))
+    return replicas
 
 
-def calibration_loss(
-    sim_series: ObservedSeries,
-    observed: ObservedSeries,
-    case_weight: float = 1.0,
-    death_weight: float = 1.0,
-) -> float:
-    """Weighted mean squared relative error over the overlapping dates.
+def _join_dates(sim: ObservedSeries, observed: ObservedSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into sim and into observed of the dates both hold, in sim's order."""
+    obs_index = {d: j for j, d in enumerate(observed.dates)}
+    pairs = [(i, obs_index[d]) for i, d in enumerate(sim.dates) if d in obs_index]
+    if not pairs:
+        raise AlignmentError("no overlapping dates between simulated and observed series")
+    sim_idx, obs_idx = np.array(pairs).T
+    return sim_idx, obs_idx
+
+
+def calibration_loss(sim_series: ObservedSeries, observed: ObservedSeries) -> float:
+    """Mean squared relative error over the overlapping dates.
 
     Per point: ((sim - obs) / max(obs, 1))^2, averaged over points within
-    each series, then combined as the weight-normalized mean of the two
-    per-series losses. A perfect fit scores 0; sim = 2x obs scores 1.
+    each series, then over the two series. A perfect fit scores 0; sim =
+    2x obs scores 1.
     """
-    obs_index = {d: i for i, d in enumerate(observed.dates)}
-    sim_idx = []
-    obs_idx = []
-    for i, d in enumerate(sim_series.dates):
-        j = obs_index.get(d)
-        if j is not None:
-            sim_idx.append(i)
-            obs_idx.append(j)
-    if not sim_idx:
-        raise AlignmentError("no overlapping dates between simulated and observed series")
-    sim_idx = np.asarray(sim_idx)
-    obs_idx = np.asarray(obs_idx)
+    sim_idx, obs_idx = _join_dates(sim_series, observed)
 
     def mse_rel(sim_vals: np.ndarray, obs_vals: np.ndarray) -> float:
         rel = (sim_vals - obs_vals) / np.maximum(obs_vals, 1.0)
@@ -183,26 +191,21 @@ def calibration_loss(
 
     case_term = mse_rel(sim_series.cum_confirmed[sim_idx], observed.cum_confirmed[obs_idx])
     death_term = mse_rel(sim_series.cum_deaths[sim_idx], observed.cum_deaths[obs_idx])
-    total_weight = case_weight + death_weight
-    if total_weight <= 0:
-        raise ConfigurationError("at least one of case_weight/death_weight must be positive")
-    return (case_weight * case_term + death_weight * death_term) / total_weight
+    return (case_term + death_term) / 2.0
 
 
 def search(
     spec: CalibrationSpec,
     observed: ObservedSeries,
-    pop_cfg: PopulationConfig,
-    disease_cfg: DiseaseConfig,
-    int_cfg: InterventionConfig,
+    cfg: FullConfig,
     policy=null_policy(),
     n_days: int | None = None,
 ) -> SearchResult:
     """Two-phase search for (pop_infected, beta_initial).
 
-    Phase one evaluates a Sobol design over the box (global_fraction of the
+    Phase one evaluates a Sobol design over the box (GLOBAL_FRACTION of the
     trials); phase two perturbs the incumbent with Gaussian steps scaled to
-    local_scale of each range width. Every trial runs the policy from day 0
+    LOCAL_SCALE of each range width. Every trial runs the policy from day 0
     on n_days-day episodes (see ungated_env). Trials whose parameters make
     an invalid configuration are logged and skipped; a run where every
     trial fails raises SearchError. Any other error propagates.
@@ -212,7 +215,7 @@ def search(
         n_days = len(observed)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
     sobol = qmc.Sobol(d=2, scramble=True, seed=spec.seed)
-    n_global = max(1, int(round(spec.trials * spec.global_fraction)))
+    n_global = max(1, int(round(spec.trials * GLOBAL_FRACTION)))
     n_global = min(n_global, spec.trials)
     # Sobol balance wants powers of two; draw the next one and slice.
     unit = sobol.random_base2(max(1, int(np.ceil(np.log2(n_global)))))[:n_global]
@@ -228,12 +231,9 @@ def search(
             point = lo + unit[t] * width
         else:
             anchor = np.array([best.pop_infected, best.beta_initial]) if best else lo + width / 2
-            point = anchor + rng.normal(0.0, spec.local_scale * width)
+            point = anchor + rng.normal(0.0, LOCAL_SCALE * width)
             point = np.clip(point, lo, hi)
-        trial = _evaluate_trial(
-            t, float(point[0]), float(point[1]), spec, observed,
-            pop_cfg, disease_cfg, int_cfg, policy, n_days,
-        )
+        trial = _evaluate_trial(t, float(point[0]), float(point[1]), spec, observed, cfg, policy, n_days)
         trials.append(trial)
         if not trial.failed and (best is None or trial.loss < best.loss):
             best = trial
@@ -254,29 +254,17 @@ def _evaluate_trial(
     beta_initial: float,
     spec: CalibrationSpec,
     observed: ObservedSeries,
-    pop_cfg: PopulationConfig,
-    disease_cfg: DiseaseConfig,
-    int_cfg: InterventionConfig,
+    cfg: FullConfig,
     policy,
     n_days: int,
 ) -> Trial:
-    cfg = dataclasses.replace(pop_cfg, pop_infected=pop_infected, beta_initial=beta_initial)
-    seeds = [
-        int(np.random.SeedSequence((spec.seed, index, rep)).generate_state(1)[0])
-        for rep in range(spec.replications)
-    ]
+    seeds = replication_seeds(spec.seed, index, spec.replications)
     try:
-        episodes = evaluate(policy, ungated_env(cfg, disease_cfg, int_cfg, n_days), seeds)
+        replicas = simulate_observed(point_config(cfg, pop_infected, beta_initial), policy, n_days, seeds)
     except ConfigurationError as exc:
         logger.warning("trial %d failed: %s", index, exc)
         return Trial(index, pop_infected, beta_initial, float("inf"), failed=True)
-    losses = [
-        calibration_loss(
-            sim_series_to_observed(ep.series, cfg.pop_scale, spec.start_date),
-            observed, spec.case_weight, spec.death_weight,
-        )
-        for ep in episodes
-    ]
+    losses = [calibration_loss(replica, observed) for replica in replicas]
     return Trial(index, pop_infected, beta_initial, float(np.mean(losses)), losses)
 
 
@@ -293,3 +281,26 @@ def trial_log_to_csv(trials: list[Trial], path: str) -> None:
                 ";".join(f"{x:.8g}" for x in t.replication_losses),
                 int(t.failed),
             ])
+
+
+def fit_comparison_to_csv(
+    result: SearchResult,
+    spec: CalibrationSpec,
+    observed: ObservedSeries,
+    cfg: FullConfig,
+    policy,
+    n_days: int,
+    path: str,
+) -> None:
+    """Replay the best fit once and write it beside the observed series.
+
+    The replay runs the first replication seed of trial 0; rows are the
+    dates both series hold, joined as in calibration_loss.
+    """
+    best = point_config(cfg, result.best_pop_infected, result.best_beta_initial)
+    fitted = simulate_observed(best, policy, n_days, replication_seeds(spec.seed, 0, 1))[0]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("date,obs_confirmed,sim_confirmed,obs_deaths,sim_deaths\n")
+        for i, j in zip(*_join_dates(fitted, observed)):
+            fh.write(f"{fitted.dates[i].isoformat()},{observed.cum_confirmed[j]:.6g},{fitted.cum_confirmed[i]:.6g},"
+                     f"{observed.cum_deaths[j]:.6g},{fitted.cum_deaths[i]:.6g}\n")

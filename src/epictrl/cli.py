@@ -13,14 +13,11 @@ file can itself be passed to --config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .agents.training import load_resume_checkpoint, policy_from_checkpoint, train
@@ -33,14 +30,7 @@ from .analysis import (
     strategy_metrics_from_eval,
 )
 from .baselines import null_policy, real_world_schedule, seven_work_seven_lockdown, uk_approximation_schedule
-from .calibration import (
-    CalibrationSpec,
-    observed_from_csv,
-    search,
-    sim_series_to_observed,
-    trial_log_to_csv,
-    ungated_env,
-)
+from .calibration import CalibrationSpec, fit_comparison_to_csv, observed_from_csv, search, trial_log_to_csv
 from .config import FullConfig, apply_overrides, load_config
 from .env import EpidemicEnv, evaluate, summarize, write_trace
 from .errors import EpictrlError
@@ -254,8 +244,7 @@ def cmd_calibrate(args) -> int:
     })
 
     n_days = min(len(observed), cfg.env.episode_days)
-    result = search(spec, observed, cfg.population, cfg.disease, cfg.interventions,
-                    policy=policy, n_days=n_days)
+    result = search(spec, observed, cfg, policy=policy, n_days=n_days)
     trial_log_to_csv(result.trials, str(out / "trial_log.csv"))
 
     with open(out / "best_params.yaml", "w", encoding="utf-8") as fh:
@@ -264,21 +253,7 @@ def cmd_calibrate(args) -> int:
         fh.write(f"  pop_infected: {result.best_pop_infected:.8g}\n")
         fh.write(f"  beta_initial: {result.best_beta_initial:.8g}\n")
 
-    best_pop = dataclasses.replace(cfg.population, pop_infected=result.best_pop_infected,
-                                   beta_initial=result.best_beta_initial)
-    rep_seed = int(np.random.SeedSequence((args.seed, 0, 0)).generate_state(1)[0])
-    env = ungated_env(best_pop, cfg.disease, cfg.interventions, n_days)
-    series = evaluate(policy, env, [rep_seed])[0].series
-    fitted = sim_series_to_observed(series, best_pop.pop_scale, spec.start_date)
-    with open(out / "fit_comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write("date,obs_confirmed,sim_confirmed,obs_deaths,sim_deaths\n")
-        obs_by_date = {d: i for i, d in enumerate(observed.dates)}
-        for i, d in enumerate(fitted.dates):
-            j = obs_by_date.get(d)
-            if j is None:
-                continue
-            fh.write(f"{d.isoformat()},{observed.cum_confirmed[j]:.6g},{fitted.cum_confirmed[i]:.6g},"
-                     f"{observed.cum_deaths[j]:.6g},{fitted.cum_deaths[i]:.6g}\n")
+    fit_comparison_to_csv(result, spec, observed, cfg, policy, n_days, str(out / "fit_comparison.csv"))
     print(f"best loss {result.best_loss:.6g} at pop_infected={result.best_pop_infected:.6g}, "
           f"beta_initial={result.best_beta_initial:.6g}")
     return 0

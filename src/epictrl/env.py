@@ -10,9 +10,11 @@ Actions only take effect once the epidemic is visible: while cumulative
 diagnoses are below the activation threshold the applied action is forced
 to the null triple (no lockdown, no testing, no tracing) regardless of the
 input. Schedule policies are allowed outside the agents' continuous box
-(e.g. deeper lockdowns); every Action already lies in its physical [0, 1]
-domain, so the environment checks only the discrete grid in discrete mode.
-An activation threshold of 0 applies every action from day 0.
+(e.g. deeper lockdowns) and off the discrete grid: every Action already
+lies in its physical [0, 1] domain, so both modes apply any Action as
+given. Discrete mode also takes a flat grid index (encode_discrete), which
+it checks against the grid's size. An activation threshold of 0 applies
+every action from day 0.
 
 evaluate() is the one episode loop: every policy is an object with
 select_action(observation, day), and simulate, evaluate, compare and
@@ -149,15 +151,13 @@ class EpidemicEnv:
     # -- helpers -----------------------------------------------------------
 
     def _coerce_action(self, action) -> Action:
+        if isinstance(action, Action):
+            return action
         if self.env_cfg.action_space_kind == "discrete":
             if isinstance(action, (int, np.integer)):
                 return encode_discrete(int(action))
-            if isinstance(action, Action):
-                return action.validate_discrete()
-            raise ActionDomainError(f"discrete mode expects an index or grid Action, got {type(action)}")
-        if not isinstance(action, Action):
-            raise ActionDomainError(f"continuous mode expects an Action, got {type(action)}")
-        return action
+            raise ActionDomainError(f"discrete mode expects an index or an Action, got {type(action)}")
+        raise ActionDomainError(f"continuous mode expects an Action, got {type(action)}")
 
     def _cumulative_diagnoses(self) -> int:
         return 0 if self.sim is None else self.sim.cum_diagnoses

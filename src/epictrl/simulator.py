@@ -177,6 +177,10 @@ class AgentState:
             quarantine_until=np.full(n, -1, dtype=np.int32),
         )
 
+    def quarantined_on(self, day: int) -> np.ndarray:
+        """Mask of the agents whose quarantine covers the day."""
+        return (self.quarantine_start >= 0) & (self.quarantine_start <= day) & (day < self.quarantine_until)
+
 
 @dataclass
 class DailyCounts:
@@ -408,7 +412,7 @@ class Simulation:
         if not len(infectious_ids):
             return np.empty(0, dtype=np.int64)
         susceptible = epi == SUSCEPTIBLE
-        quarantined = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
+        quarantined = st.quarantined_on(self.day)
         source_key = (TARGET_KEYS * (
             (epi[infectious_ids] == I_ASYMPTOMATIC)
             + 2 * (st.diagnosed_day[infectious_ids] >= 0)
@@ -544,8 +548,7 @@ class Simulation:
         # count_nonzero reads the int8 states as they are; bincount would cast them all to intp.
         S, E, R, D = (int(np.count_nonzero(epi == s)) for s in (SUSCEPTIBLE, EXPOSED, RECOVERED, DEAD))
         infectious = len(epi) - S - E - R - D
-        in_quarantine = (st.quarantine_start >= 0) & (st.quarantine_start <= self.day) & (self.day < st.quarantine_until)
-        in_quarantine &= epi != DEAD
+        in_quarantine = st.quarantined_on(self.day) & (epi != DEAD)
         return DailyCounts(
             day=self.day, S=S, E=E, I=infectious, R=R, D=D,
             cumulative_tests=self.cum_tests,

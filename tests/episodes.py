@@ -12,5 +12,4 @@ def constant_policy(action) -> SchedulePolicy:
 
 def ungated_series(cfg, n_days: int, seed: int, policy=null_policy()) -> list:
     """DailyCounts of one n_days episode, the policy applied from day 0."""
-    env = ungated_env(cfg.population, cfg.disease, cfg.interventions, n_days)
-    return evaluate(policy, env, [seed])[0].series
+    return evaluate(policy, ungated_env(cfg, n_days), [seed])[0].series

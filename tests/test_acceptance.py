@@ -5,7 +5,6 @@ lines. The heavy training criteria share one small-population configuration:
 2,000 agents, pop_scale 1, ten seeded infections, default reward weights.
 """
 
-import dataclasses
 import io
 import time
 
@@ -22,8 +21,7 @@ from epictrl.calibration import (
     ObservedSeries,
     _evaluate_trial,
     search,
-    sim_series_to_observed,
-    ungated_env,
+    simulate_observed,
 )
 from epictrl.config import FullConfig, PpoConfig, RewardWeights
 from epictrl.env import EpidemicEnv, decode_discrete, encode_discrete, evaluate
@@ -233,14 +231,11 @@ TRUE_BETA = 0.006
 def test_criterion_6_calibration_recovery():
     t0 = time.time()
     cfg = acceptance_cfg()
-    pop = dataclasses.replace(cfg.population, beta_initial=TRUE_BETA)
+    cfg.population.beta_initial = TRUE_BETA
     policy = uk_approximation_schedule()
     n_days = 100
 
-    replicas = []
-    env = ungated_env(pop, cfg.disease, cfg.interventions, n_days)
-    for episode in evaluate(policy, env, [1000, 1001, 1002]):
-        replicas.append(sim_series_to_observed(episode.series, pop.pop_scale))
+    replicas = simulate_observed(cfg, policy, n_days, [1000, 1001, 1002])
     observed = ObservedSeries(
         replicas[0].dates,
         np.mean([r.cum_confirmed for r in replicas], axis=0),
@@ -249,8 +244,7 @@ def test_criterion_6_calibration_recovery():
 
     spec = CalibrationSpec(pop_infected_range=(2, 40), beta_range=(0.002, 0.015),
                            trials=100, replications=3, seed=7)
-    result = search(spec, observed, pop, cfg.disease, cfg.interventions,
-                    policy=policy, n_days=n_days)
+    result = search(spec, observed, cfg, policy=policy, n_days=n_days)
     recovered = abs(result.best_beta_initial - TRUE_BETA) <= 0.25 * TRUE_BETA
 
     rng = np.random.default_rng(99)
@@ -258,8 +252,7 @@ def test_criterion_6_calibration_recovery():
     for t in range(100):
         pi = float(rng.uniform(*spec.pop_infected_range))
         b = float(rng.uniform(*spec.beta_range))
-        trial = _evaluate_trial(t, pi, b, spec, observed, pop, cfg.disease,
-                                cfg.interventions, policy, n_days)
+        trial = _evaluate_trial(t, pi, b, spec, observed, cfg, policy, n_days)
         random_losses.append(trial.loss)
     beats_random = result.best_loss <= np.percentile(random_losses, 10)
 

@@ -12,13 +12,11 @@ from epictrl.calibration import (
     observed_from_csv,
     observed_to_csv,
     search,
-    sim_series_to_observed,
+    simulate_observed,
     trial_log_to_csv,
-    ungated_env,
 )
 from epictrl.baselines import null_policy
-from epictrl.config import DiseaseConfig, InterventionConfig, PopulationConfig
-from epictrl.env import evaluate
+from epictrl.config import FullConfig, PopulationConfig
 from epictrl.errors import AlignmentError, ScheduleParseError
 
 
@@ -40,18 +38,20 @@ class TestCalibrationLoss:
     def test_single_point_relative_error(self):
         obs = series([100], [100])
         sim = series([110], [100])
-        # Case series alone: (0.1)^2 = 0.01.
-        assert calibration_loss(sim, obs, case_weight=1.0, death_weight=0.0) == pytest.approx(0.01)
+        # Cases alone err, by (0.1)^2 = 0.01; deaths fit exactly.
+        assert calibration_loss(sim, obs) == pytest.approx(0.005)
 
     def test_weights_mix_series(self):
         obs = series([100], [100])
-        sim = series([110], [100])
-        assert calibration_loss(sim, obs, case_weight=1.0, death_weight=1.0) == pytest.approx(0.005)
+        sim = series([110], [80])
+        # The two series weigh equally: (0.01 + 0.04) / 2.
+        assert calibration_loss(sim, obs) == pytest.approx(0.025)
 
     def test_small_observed_values_floored_at_one(self):
         obs = series([0], [0])
         sim = series([3], [0])
-        assert calibration_loss(sim, obs, death_weight=0.0) == pytest.approx(9.0)
+        # Cases err by 3 / max(0, 1); deaths fit exactly.
+        assert calibration_loss(sim, obs) == pytest.approx(4.5)
 
     def test_no_overlap_is_alignment_error(self):
         obs = series([1, 2], [0, 0])
@@ -86,42 +86,39 @@ def cheap_setup(beta=0.08, pop=300, days=40):
     """Small, fast simulator target for search tests."""
     pop_cfg = PopulationConfig(pop_size=pop, total_pop=float(pop), pop_infected=8.0,
                                beta_initial=beta, contacts_s=8.0, contacts_w=8.0, contacts_c=8.0)
-    disease = DiseaseConfig()
-    ivs = InterventionConfig()
-    return pop_cfg, disease, ivs, days
+    return FullConfig(population=pop_cfg), days
 
 
-def synthetic_observed(pop_cfg, disease, ivs, days, seed=123):
-    run = evaluate(null_policy(), ungated_env(pop_cfg, disease, ivs, days), [seed])[0].series
-    return sim_series_to_observed(run, pop_cfg.pop_scale)
+def synthetic_observed(cfg, days, seed=123):
+    return simulate_observed(cfg, null_policy(), days, [seed])[0]
 
 
 class TestSearch:
     def test_trials_1_returns_single_point(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                                trials=1, replications=1, seed=5)
-        result = search(spec, observed, pop_cfg, disease, ivs)
+        result = search(spec, observed, cfg)
         assert len(result.trials) == 1
         assert result.best_loss == result.trials[0].loss
 
     def test_search_determinism(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                                trials=8, replications=1, seed=5)
-        a = search(spec, observed, pop_cfg, disease, ivs)
-        b = search(spec, observed, pop_cfg, disease, ivs)
+        a = search(spec, observed, cfg)
+        b = search(spec, observed, cfg)
         assert [(t.pop_infected, t.beta_initial, t.loss) for t in a.trials] == \
                [(t.pop_infected, t.beta_initial, t.loss) for t in b.trials]
 
     def test_incumbent_never_worsens(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                                trials=12, replications=1, seed=9)
-        result = search(spec, observed, pop_cfg, disease, ivs)
+        result = search(spec, observed, cfg)
         best = np.inf
         incumbents = []
         for t in result.trials:
@@ -132,44 +129,44 @@ class TestSearch:
         assert result.best_loss == incumbents[-1]
 
     def test_widening_a_range_containing_the_optimum_not_worse_in_expectation(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         narrow_best, wide_best = [], []
         for seed in (1, 2, 3, 4):
             spec_n = CalibrationSpec(pop_infected_range=(4, 16), beta_range=(0.05, 0.12),
                                      trials=10, replications=1, seed=seed)
             spec_w = CalibrationSpec(pop_infected_range=(2, 64), beta_range=(0.01, 0.3),
                                      trials=10, replications=1, seed=seed)
-            narrow_best.append(search(spec_n, observed, pop_cfg, disease, ivs).best_loss)
-            wide_best.append(search(spec_w, observed, pop_cfg, disease, ivs).best_loss)
+            narrow_best.append(search(spec_n, observed, cfg).best_loss)
+            wide_best.append(search(spec_w, observed, cfg).best_loss)
         # Paired-seed expectation: generous slack absorbs sampling noise.
         assert np.mean(wide_best) <= np.mean(narrow_best) + 0.5
 
     def test_all_trials_failing_is_search_error(self):
         from epictrl.errors import SearchError
 
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         # Every candidate seeds more agents than the population holds.
         spec = CalibrationSpec(pop_infected_range=(5000, 9000), beta_range=(0.02, 0.2),
                                trials=4, replications=1, seed=5)
         with pytest.raises(SearchError):
-            search(spec, observed, pop_cfg, disease, ivs)
+            search(spec, observed, cfg)
 
     def test_failed_trials_marked_and_skipped(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         # Range straddles the population size: some trials fail, search continues.
         spec = CalibrationSpec(pop_infected_range=(5, 600), beta_range=(0.02, 0.2),
                                trials=8, replications=1, seed=5)
-        result = search(spec, observed, pop_cfg, disease, ivs)
+        result = search(spec, observed, cfg)
         assert any(t.failed for t in result.trials)
         assert any(not t.failed for t in result.trials)
         assert np.isfinite(result.best_loss)
 
     def test_policy_programming_error_fails_the_search(self):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                                trials=2, replications=1, seed=5)
 
@@ -178,14 +175,14 @@ class TestSearch:
                 raise TypeError("select_action() is broken")
 
         with pytest.raises(TypeError):
-            search(spec, observed, pop_cfg, disease, ivs, policy=Broken())
+            search(spec, observed, cfg, policy=Broken())
 
     def test_trial_log_csv(self, tmp_path):
-        pop_cfg, disease, ivs, days = cheap_setup()
-        observed = synthetic_observed(pop_cfg, disease, ivs, days)
+        cfg, days = cheap_setup()
+        observed = synthetic_observed(cfg, days)
         spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                                trials=3, replications=2, seed=5)
-        result = search(spec, observed, pop_cfg, disease, ivs)
+        result = search(spec, observed, cfg)
         path = tmp_path / "log.csv"
         trial_log_to_csv(result.trials, str(path))
         lines = path.read_text().strip().splitlines()

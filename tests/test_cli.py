@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from epictrl import cli
 from epictrl.cli import main, parse_seeds
 from epictrl.simulator import counts_from_csv
 
@@ -94,21 +95,37 @@ class TestSimulate:
         records = [json.loads(line) for line in (eval_out / "trace_seed3.jsonl").read_text().splitlines()]
         assert simulated == [day for record in records for day in record["week_counts"]]
 
-    def test_off_grid_schedule_in_discrete_mode_is_usage_error(self, tmp_path, capsys):
-        code = run_cli("simulate", "--out", tmp_path / "run", "--policy", "schedule:7w7l",
-                       "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
-        assert code == 2
-        assert "not a discrete level" in capsys.readouterr().err
+    @pytest.mark.parametrize("policy", ["none", "schedule:7w7l"])
+    def test_off_grid_policies_run_in_discrete_mode(self, tmp_path, policy):
+        # Neither policy's actions lie on the discrete grid (ch_beta=1.0 is no
+        # level); discrete mode applies them as given, as continuous mode does.
+        counts = {}
+        for kind in ("continuous", "discrete"):
+            out = tmp_path / kind
+            assert run_cli("simulate", "--out", out, "--seed", 3, "--policy", policy,
+                           "--set", f"env.action_space_kind={kind}", *BASE_OVERRIDES) == 0
+            counts[kind] = (out / "daily_counts.csv").read_bytes()
+        assert counts["discrete"] == counts["continuous"]
 
     @pytest.mark.parametrize("command", [
-        ["simulate", "--policy", "schedule:7w7l"],
-        ["evaluate", "--policy", "schedule:7w7l", "--seeds", "0"],
-        ["compare", "--policy", "none", "--policy", "schedule:7w7l", "--seeds", "0"],
+        ["simulate", "--policy", "past-the-grid"],
+        ["evaluate", "--policy", "past-the-grid", "--seeds", "0"],
+        ["compare", "--policy", "none", "--policy", "past-the-grid", "--seeds", "0"],
     ])
-    def test_action_rejected_mid_run_leaves_no_output_dir(self, tmp_path, command):
+    def test_action_rejected_mid_run_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys, command):
+        class PastTheGrid:
+            """Grid index 0 in the first week, then 64, one past the grid."""
+
+            def select_action(self, observation, day):
+                return 0 if day < 7 else 64
+
+        load_policy = cli.load_policy
+        monkeypatch.setattr(cli, "load_policy", lambda spec, cfg: (
+            (PastTheGrid(), []) if spec == "past-the-grid" else load_policy(spec, cfg)))
         out = tmp_path / "X"
         code = run_cli(*command, "--out", out, "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
         assert code == 2
+        assert "discrete action index 64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_policy_file_is_usage_error(self, tmp_path):

@@ -130,10 +130,12 @@ class TestActionDomains:
         env.reset(0)
         env.step(17)
         env.step(Action(0.5, 0.25, 0.0))
-        with pytest.raises(ActionDomainError):
-            env.step(Action(0.6, 0.25, 0.0))
+        # An off-grid Action (a schedule's) applies as given.
+        env.step(Action(0.6, 0.25, 0.0))
         with pytest.raises(ActionDomainError):
             env.step(64)
+        with pytest.raises(ActionDomainError):
+            env.step(0.5)
 
 
 class TestRewardDecomposition:

@@ -222,12 +222,11 @@ SEARCH_FINGERPRINT = "d06eb1129be4c4adb626436d9d330999e2e842b8cab533e032f5402418
 
 
 def search_digest() -> str:
-    pop_cfg, disease, ivs, days = cheap_setup()
-    observed = synthetic_observed(pop_cfg, disease, ivs, days)
+    cfg, days = cheap_setup()
+    observed = synthetic_observed(cfg, days)
     spec = CalibrationSpec(pop_infected_range=(2, 30), beta_range=(0.02, 0.2),
                            trials=6, replications=2, seed=5)
-    result = search(spec, observed, pop_cfg, disease, ivs,
-                    policy=seven_work_seven_lockdown(), n_days=days)
+    result = search(spec, observed, cfg, policy=seven_work_seven_lockdown(), n_days=days)
     return digest([t.replication_losses for t in result.trials])
 
 
