@@ -21,7 +21,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .env import EpidemicEnv, decode_discrete, encode_discrete
+from .env import EpidemicEnv, encode_discrete
 from .interventions import Action, NULL_ACTION
 from .simulator import DailyCounts, EpiState, Simulation
 
@@ -40,7 +40,6 @@ __all__ = [
     "PpoConfig",
     "RewardWeights",
     "Simulation",
-    "decode_discrete",
     "encode_discrete",
     "load_config",
     "save_config",

@@ -81,14 +81,6 @@ def observed_from_csv(path: str) -> ObservedSeries:
     return ObservedSeries(dates, np.array(confirmed), np.array(deaths))
 
 
-def observed_to_csv(series: ObservedSeries, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "cum_confirmed", "cum_deaths"])
-        for d, c, dd in zip(series.dates, series.cum_confirmed, series.cum_deaths):
-            writer.writerow([d.isoformat(), f"{c:.6g}", f"{dd:.6g}"])
-
-
 @dataclass
 class CalibrationSpec:
     """Search configuration for the two fitted parameters."""

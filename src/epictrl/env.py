@@ -30,12 +30,7 @@ import numpy as np
 
 from .config import FullConfig
 from .errors import ActionDomainError, ProtocolError
-from .interventions import (
-    Action,
-    NULL_ACTION,
-    decode_discrete,
-    encode_discrete,
-)
+from .interventions import Action, NULL_ACTION, encode_discrete
 from .rewards import action_penalty, daily_reward, economic_loss
 from .simulator import DailyCounts, Simulation
 
@@ -43,7 +38,6 @@ __all__ = [
     "EpidemicEnv",
     "EvalEpisode",
     "OBSERVATION_FIELDS",
-    "decode_discrete",
     "encode_discrete",
     "evaluate",
     "summarize",

@@ -50,17 +50,6 @@ class Action:
             if not (0.0 <= v <= 1.0) or v != v:
                 raise ActionDomainError(f"{name}={v} outside [0, 1]")
 
-    def validate_discrete(self) -> "Action":
-        """Check that each component is one of its four discrete levels."""
-        for name, v, levels in (
-            ("ch_beta", self.ch_beta, BETA_LEVELS),
-            ("ch_tp", self.ch_tp, TP_LEVELS),
-            ("ch_ctp", self.ch_ctp, CTP_LEVELS),
-        ):
-            if not any(abs(v - lvl) < 1e-12 for lvl in levels):
-                raise ActionDomainError(f"{name}={v} is not a discrete level {levels}")
-        return self
-
 
 NULL_ACTION = Action(ch_beta=1.0, ch_tp=0.0, ch_ctp=0.0)
 
@@ -77,15 +66,6 @@ def encode_discrete(index: int) -> Action:
     i_beta, rest = divmod(index, 16)
     i_tp, i_ctp = divmod(rest, 4)
     return Action(BETA_LEVELS[i_beta], TP_LEVELS[i_tp], CTP_LEVELS[i_ctp])
-
-
-def decode_discrete(action: Action) -> int:
-    """Inverse of encode_discrete; raises if the triple is not on the grid."""
-    action.validate_discrete()
-    i_beta = min(range(4), key=lambda i: abs(BETA_LEVELS[i] - action.ch_beta))
-    i_tp = min(range(4), key=lambda i: abs(TP_LEVELS[i] - action.ch_tp))
-    i_ctp = min(range(4), key=lambda i: abs(CTP_LEVELS[i] - action.ch_ctp))
-    return i_beta * 16 + i_tp * 4 + i_ctp
 
 
 def apply_lockdown(ch_beta: float, beta_initial: float) -> float:
@@ -117,10 +97,14 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
 
     new_tests = 0
     if ch_tp > 0.0:
-        ids = np.nonzero(eligible)[0]
+        ids = np.flatnonzero(eligible)
         if len(ids):
-            p = np.where(symptomatic[ids], ch_tp, ch_tp * cfg.asymptomatic_test_factor)
-            hits = ids[sim.streams["testing"].random(len(ids)) < p]
+            u = sim.streams["testing"].random(len(ids))
+            # The factor lies in [0, 1], so every draw below ch_tp * factor
+            # is a hit, and so is a symptomatic agent's draw below ch_tp.
+            low = np.flatnonzero(u < ch_tp * cfg.asymptomatic_test_factor)
+            symp = np.searchsorted(ids, np.flatnonzero(eligible & symptomatic))
+            hits = ids[np.union1d(low, symp[u[symp] < ch_tp])]
             if len(hits):
                 _schedule_results(sim, hits, day + cfg.test_delay)
                 eligible[hits] = False  # their results are now pending

@@ -2,15 +2,17 @@
 
 The three static layers are full cliques within groups whose sizes are chosen
 so the mean within-group contact count matches the configured layer contact
-means. Each stores its destinations with a CSR row index, built in one
-vectorised pass: an agent's contacts are its group's ascending members
-rotated to start just after it, the order a stable sort by source of both
-directions of every ``np.triu_indices`` pair would give. The community layer
-is not built here: each simulated day draws a new CommunityDay (see
-simulator.Simulation), a circulant graph over a random relabelling of the
-agents. Every layer answers "who met these agents" with ``contacts(ids) ->
-(counts, dst)``: each id's contact count, and the contacts by id and then by
-edge or offset; a caller that needs sources takes ``np.repeat(ids, counts)``.
+means. Each stores its groups, not its edges: every group's ascending
+members laid out twice, and per agent the start and length of its run in
+them, built in one vectorised pass. An agent's contacts are its group's
+ascending members rotated to start just after it, the order a stable sort by
+source of both directions of every ``np.triu_indices`` pair would give. The
+community layer is not built here: each simulated day draws a new
+CommunityDay (see simulator.Simulation), a circulant graph over a random
+relabelling of the agents. Every layer answers "who met these agents" with
+``contacts(ids) -> (counts, dst)``: each id's contact count, and the
+contacts by id and then by edge or offset; a caller that needs sources takes
+``np.repeat(ids, counts)``.
 """
 
 from __future__ import annotations
@@ -25,25 +27,45 @@ from .errors import ConfigurationError
 LAYER_NAMES = ("household", "school", "work")
 
 
+# Agents per block when Layer.dst lists every edge: small blocks keep the
+# listing to about one edge-length array (the output) at a time.
+DST_BLOCK = 4096
+
+
 @dataclass
 class Layer:
-    """One static contact layer: destinations with a CSR row index.
+    """One static clique layer, stored as its groups.
 
-    indptr has one entry per agent plus one, and the contacts of agent i are
-    ``dst[indptr[i]:indptr[i + 1]]``. Both directions of every undirected
-    contact are stored. For a clique layer each slice is the rest of i's
-    group, ascending from just after i and wrapping round (see
-    _clique_layer). Like CommunityDay, a layer answers ``contacts(ids)``.
+    ``members`` holds each group's ascending members laid out twice, group
+    after group, so the rest of an agent's group, ascending from just after
+    it and wrapping round, is one contiguous run: agent i's contacts are
+    ``members[first[i]:first[i] + degree[i]]``. ``first`` and ``degree`` are
+    int32, one entry per agent, and 0 for agents outside the layer; members
+    has 2m entries for the layer's m members, so no array is as long as the
+    edge list. Like CommunityDay, a layer answers ``contacts(ids)``.
     """
 
     name: str
-    dst: np.ndarray
-    indptr: np.ndarray
+    members: np.ndarray  # int64, each group's ascending members, twice
+    first: np.ndarray    # int32, per agent: where its contacts start in members
+    degree: np.ndarray   # int32, per agent: its number of contacts
 
     @property
     def src(self) -> np.ndarray:
-        """Source of each edge, derived from the row index: edges are stored sorted by source."""
-        return np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int64), np.diff(self.indptr))
+        """Source of every edge, in the order of dst. Derived on each access; the simulator reads only contacts."""
+        return np.repeat(np.arange(len(self.degree), dtype=np.int64), self.degree)
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Every agent's contacts, agent after agent: both directions of each edge. Derived on each access, like src."""
+        n = len(self.degree)
+        out = np.empty(int(self.degree.sum(dtype=np.int64)), dtype=self.members.dtype)
+        end = 0
+        for start in range(0, n, DST_BLOCK):
+            _, dst = self.contacts(np.arange(start, min(start + DST_BLOCK, n)))
+            out[end:end + len(dst)] = dst
+            end += len(dst)
+        return out
 
     def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(counts, dst): the int64 contact count of each of ``ids``, and the contacts, by id and then edge.
@@ -52,12 +74,12 @@ class Layer:
         ``np.repeat(ids, counts)`` and dst keep the layer's own edge order.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        lo = self.indptr[ids]
-        counts = self.indptr[ids + 1] - lo
-        # Row k's edges are lo[k], lo[k] + 1, ...: one arange over the whole
-        # gather, shifted per row by lo[k] minus the row's start in it.
+        lo = self.first[ids].astype(np.int64)
+        counts = self.degree[ids].astype(np.int64)
+        # Row k's contacts are lo[k], lo[k] + 1, ...: one arange over the
+        # whole gather, shifted per row by lo[k] minus the row's start in it.
         shift = lo - (np.cumsum(counts) - counts)
-        return counts, self.dst[np.repeat(shift, counts) + np.arange(counts.sum())]
+        return counts, self.members[np.repeat(shift, counts) + np.arange(counts.sum())]
 
 
 def community_offsets(n: int, contacts: float) -> tuple[int, int]:
@@ -134,19 +156,20 @@ class CommunityDay:
         """
         ids = np.asarray(ids, dtype=np.int64)
         n = len(self.agent_at)
-        # Columns: +o1, -o1, +o2, -o2, ... per id; a step back by o is a step
-        # forward by n - o, so every column wraps the same way.
+        # Columns: +o1, -o1, +o2, -o2, ... per id. A step forward by o is a
+        # step by o - n, so every slot + step lies in [-n, n) and numpy's
+        # negative indexing does the wrap.
         steps = np.repeat(self.offsets, 2)
-        steps[1::2] = n - self.offsets
+        steps[0::2] -= n
+        steps[1::2] *= -1
         slots = self.slot_of[ids]
         nbr = slots[:, None] + steps
-        np.subtract(nbr, n, out=nbr, where=nbr >= n)
         if not self.partial_edges:
             return np.full(len(ids), len(steps), dtype=np.int64), self.agent_at[nbr.ravel()]
         m = self.partial_edges
         exists = np.ones(nbr.shape, dtype=bool)
         exists[:, -2] = slots < m
-        exists[:, -1] = nbr[:, -1] < m
+        exists[:, -1] = nbr[:, -1] % n < m  # the backward contact's own slot
         return len(steps) - 2 + exists[:, -2] + exists[:, -1], self.agent_at[nbr[exists]]
 
 
@@ -159,7 +182,7 @@ class Population:
     household_id: np.ndarray  # int32
     school_id: np.ndarray     # int32, -1 when not enrolled
     work_id: np.ndarray       # int32, -1 when not employed
-    layers: dict[str, Layer]  # household/school/work edge lists
+    layers: dict[str, Layer]  # household/school/work cliques
 
     @property
     def size(self) -> int:
@@ -186,13 +209,13 @@ def _partition_into_groups(members: np.ndarray, mean_contacts: float, rng: np.ra
 
 
 def _clique_layer(name: str, ids: np.ndarray, group_of: np.ndarray, n: int) -> Layer:
-    """Full cliques within each group of the ascending ``ids``, as a CSR layer over n agents.
+    """Full cliques within each group of the ascending ``ids``, as a Layer over n agents.
 
     The agent at position p among its group's ascending members
     m_0 < ... < m_{k-1} has the contacts m_{p+1}, ..., m_{k-1}, m_0, ...,
     m_{p-1}: its group rotated to start just after it. Laying each group out
-    twice makes that rotation one contiguous run, so the edges are written
-    in src order directly and no edge list is ever sorted.
+    twice makes that rotation one contiguous run, so the layer stores the
+    groups and each agent's run, and no edge list is ever built.
     """
     m = len(ids)
     # Positions sorted by (group, position), through one unique key each.
@@ -206,16 +229,11 @@ def _clique_layer(name: str, ids: np.ndarray, group_of: np.ndarray, n: int) -> L
     slot = np.arange(m) + (np.cumsum(size) - size)[group_sorted]
     twice = np.empty(2 * m, dtype=np.int64)
     twice[slot] = twice[slot + size[group_sorted]] = ids[position]
-    first = np.empty(m, dtype=np.int64)
-    first[position] = slot + 1
-    degree = size[group_of] - 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[ids + 1] = degree
-    np.cumsum(indptr, out=indptr)
-    # Edge e of agent i lies e - indptr[i] past its first contact.
-    edge = np.repeat(first - indptr[ids], degree)
-    edge += np.arange(indptr[-1])
-    return Layer(name=name, dst=twice[edge], indptr=indptr)
+    first = np.zeros(n, dtype=np.int32)
+    first[ids[position]] = slot + 1
+    degree = np.zeros(n, dtype=np.int32)
+    degree[ids] = size[group_of] - 1
+    return Layer(name=name, members=twice, first=first, degree=degree)
 
 
 def synthesize_population(config: PopulationConfig, seed_rng: np.random.Generator) -> Population:

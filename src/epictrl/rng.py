@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 # Fixed ids; order must never change or seeds stop reproducing old runs.
+# Ids 8 and 9 (once "policy" and "search", never read) are retired and are
+# never reused.
 STREAM_IDS = {
     "population": 0,
     "seeding": 1,
@@ -23,8 +25,6 @@ STREAM_IDS = {
     "testing": 5,
     "tracing": 6,
     "detection": 7,
-    "policy": 8,
-    "search": 9,
 }
 
 

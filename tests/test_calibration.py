@@ -10,7 +10,6 @@ from epictrl.calibration import (
     ObservedSeries,
     calibration_loss,
     observed_from_csv,
-    observed_to_csv,
     search,
     simulate_observed,
     trial_log_to_csv,
@@ -18,6 +17,8 @@ from epictrl.calibration import (
 from epictrl.baselines import null_policy
 from epictrl.config import FullConfig, PopulationConfig
 from epictrl.errors import AlignmentError, ScheduleParseError
+
+from tests.test_cli import write_observed
 
 
 def series(values_c, values_d, start=date(2020, 1, 21)):
@@ -62,12 +63,11 @@ class TestCalibrationLoss:
 
 class TestObservedCsv:
     def test_round_trip(self, tmp_path):
-        obs = series([10, 20, 40], [1, 1, 2])
-        path = tmp_path / "obs.csv"
-        observed_to_csv(obs, str(path))
-        back = observed_from_csv(str(path))
-        assert back.dates == obs.dates
-        np.testing.assert_allclose(back.cum_confirmed, obs.cum_confirmed)
+        back = observed_from_csv(str(write_observed(tmp_path)))
+        value = np.cumprod([10.0] + [1.15] * 24)  # as write_observed grows it
+        assert back.dates == series(value, value).dates
+        np.testing.assert_array_equal(back.cum_confirmed, np.round(value))
+        np.testing.assert_array_equal(back.cum_deaths, np.round(value / 20))
 
     def test_decreasing_series_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"

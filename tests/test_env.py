@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from epictrl.config import FullConfig
-from epictrl.env import OBSERVATION_FIELDS, EpidemicEnv, decode_discrete, encode_discrete
+from epictrl.env import OBSERVATION_FIELDS, EpidemicEnv, encode_discrete
 from epictrl.errors import ActionDomainError, ProtocolError
-from epictrl.interventions import Action, NULL_ACTION
+from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION
 from epictrl.env import trace_record, write_trace
 
 
@@ -201,7 +201,8 @@ class TestObservationConfig:
 
 class TestDiscreteEncodeDecodeExports:
     def test_reexported_bijection(self):
-        assert all(decode_discrete(encode_discrete(k)) == k for k in range(64))
+        grid = {Action(b, t, c) for b in BETA_LEVELS for t in TP_LEVELS for c in CTP_LEVELS}
+        assert len(grid) == 64 and {encode_discrete(k) for k in range(64)} == grid
 
 
 class TestTraceExport:

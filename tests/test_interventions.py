@@ -4,14 +4,18 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 from epictrl.config import DiseaseConfig, InterventionConfig, PopulationConfig
 from epictrl.errors import ActionDomainError
 from epictrl.interventions import (
     Action,
     NULL_ACTION,
+    BETA_LEVELS,
+    CTP_LEVELS,
+    TP_LEVELS,
     apply_lockdown,
-    decode_discrete,
     encode_discrete,
     run_testing,
     run_tracing,
@@ -53,12 +57,9 @@ class TestEncodeDecode:
         assert encode_discrete(63) == Action(0.875, 0.75, 0.75)
 
     def test_bijection_over_all_indices(self):
-        seen = set()
-        for k in range(64):
-            action = encode_discrete(k)
-            assert decode_discrete(action) == k
-            seen.add((action.ch_beta, action.ch_tp, action.ch_ctp))
-        assert len(seen) == 64
+        grid = {Action(b, t, c) for b in BETA_LEVELS for t in TP_LEVELS for c in CTP_LEVELS}
+        assert len(grid) == 64
+        assert {encode_discrete(k) for k in range(64)} == grid
 
     def test_index_layout(self):
         assert encode_discrete(16) == Action(0.625, 0.0, 0.0)
@@ -69,8 +70,6 @@ class TestEncodeDecode:
         for bad in (-1, 64, 100):
             with pytest.raises(ActionDomainError):
                 encode_discrete(bad)
-        with pytest.raises(ActionDomainError):
-            decode_discrete(Action(0.6, 0.0, 0.0))
 
 
 class TestTesting:
@@ -102,6 +101,35 @@ class TestTesting:
         mean = total / n_rep
         sigma = np.sqrt(100 * 0.75 * 0.25 / n_rep)
         assert abs(mean - 75.0) < 3 * sigma
+
+    @settings(max_examples=60, deadline=None)
+    @given(states=strat.lists(strat.sampled_from(list(EpiState)), min_size=30, max_size=30),
+           diagnosed=strat.lists(strat.booleans(), min_size=30, max_size=30),
+           pending=strat.lists(strat.booleans(), min_size=30, max_size=30),
+           ch_tp=strat.floats(0.0, 1.0), factor=strat.floats(0.0, 1.0), seed=strat.integers(0, 1000))
+    def test_hits_match_per_agent_probability_reference(self, states, diagnosed, pending, ch_tp, factor, seed):
+        """Program tests hit exactly the eligible agents whose draw is below np.where(symptomatic, tp, tp * factor)."""
+        int_cfg = InterventionConfig(symp_detection_prob=0.0, severe_detection_prob=0.0,
+                                     asymptomatic_test_factor=factor)
+        sim = make_sim(pop_size=30, pop_infected=1, seed=seed, int_cfg=int_cfg)
+        st = sim.state
+        st.epi_state[:] = states
+        st.diagnosed_day[:] = np.where(diagnosed, 0, -1)
+        st.test_pending_day[:] = np.where(pending, sim.day + 5, -1)
+        before = st.test_pending_day.copy()
+
+        stream = copy.deepcopy(sim.streams["testing"])
+        epi = st.epi_state
+        ids = np.flatnonzero((epi != EpiState.DEAD) & ~np.asarray(diagnosed) & ~np.asarray(pending))
+        expected = np.empty(0, dtype=np.int64)
+        if ch_tp > 0.0 and len(ids):
+            symptomatic = (epi[ids] == EpiState.I_MILD) | (epi[ids] == EpiState.I_SEVERE)
+            expected = ids[stream.random(len(ids)) < np.where(symptomatic, ch_tp, ch_tp * factor)]
+
+        new_tests, _ = run_testing(sim, ch_tp)
+        assert new_tests == len(expected)
+        np.testing.assert_array_equal(np.flatnonzero(st.test_pending_day != before), expected)
+        assert sim.streams["testing"].bit_generator.state == stream.bit_generator.state
 
     def test_asymptomatic_factor_scales_probability(self):
         int_cfg = InterventionConfig(symp_detection_prob=0.0, severe_detection_prob=0.0,
@@ -200,7 +228,7 @@ class TestTracing:
         expected = set(community)
         for layer in sim.pop.layers.values():
             for agent in diagnosed:
-                expected |= set(layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]].tolist())
+                expected |= set(layer.contacts([agent])[1].tolist())
         new_q = run_tracing(sim, 1.0, diagnosed)
         assert new_q == len(expected)
         assert set(np.flatnonzero(sim.state.quarantine_start >= 0).tolist()) == expected
@@ -214,8 +242,7 @@ class TestTracing:
 
         # Candidates by layer, diagnosed agent and edge, then yesterday's
         # community contacts scanned from the day's full edge list.
-        chunks = [layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]]
-                  for layer in sim.pop.layers.values() for agent in diagnosed]
+        chunks = [layer.contacts([agent])[1] for layer in sim.pop.layers.values() for agent in diagnosed]
         community = scan_community_contacts(community_edges(sim.prev_community), diagnosed)
         assert len(community) > 0
         candidates = np.concatenate(chunks + [community])
@@ -242,7 +269,7 @@ class TestTracing:
         assert sim.step_day(NULL_ACTION).new_infections > 0
         static = set()
         for layer in sim.pop.layers.values():
-            static |= set(layer.dst[layer.indptr[infector]:layer.indptr[infector + 1]].tolist())
+            static |= set(layer.contacts([infector])[1].tolist())
         infected = [i for i in np.flatnonzero(st.epi_state == EpiState.EXPOSED).tolist() if i not in static]
         assert infected, "no infection that only the community layer explains"
         case = infected[0]

@@ -107,11 +107,11 @@ def test_row_index_matches_edge_list():
     pop = build(cfg)
     for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
         layer = pop.layers[name]
-        assert len(layer.indptr) == cfg.pop_size + 1
-        assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.dst) == len(layer.src)
+        src, dst = layer.src, layer.dst
+        assert layer.contacts(np.arange(cfg.pop_size))[0].sum() == len(dst) == len(src)
         for agent in range(cfg.pop_size):
-            row = layer.dst[layer.indptr[agent]:layer.indptr[agent + 1]]
-            np.testing.assert_array_equal(row, layer.dst[layer.src == agent])
+            row = layer.contacts([agent])[1]
+            np.testing.assert_array_equal(row, dst[src == agent])
             group = np.flatnonzero(group_id == group_id[agent]) if group_id[agent] >= 0 else [agent]
             assert sorted(row.tolist()) == sorted(set(group) - {agent})
 
@@ -181,10 +181,46 @@ def test_clique_layers_equal_sorted_edge_list(overrides):
         for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
             ids = np.flatnonzero(group_id >= 0)
             layer = pop.layers[name]
-            for got, expected in zip((layer.src, layer.dst, layer.indptr),
-                                     sorted_clique_layer(ids, group_id[ids].astype(np.int64), n)):
+            src, dst, indptr = sorted_clique_layer(ids, group_id[ids].astype(np.int64), n)
+            counts = layer.contacts(np.arange(n))[0]
+            for got, expected in zip((layer.src, layer.dst, counts), (src, dst, np.diff(indptr))):
                 assert got.dtype == expected.dtype == np.int64
                 np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"pop_size": 50}, {"pop_size": 2_000}, {"pop_size": 10_000},
+    {"pop_size": 3_000, "contacts_w": 60.0},
+])
+def test_clique_layers_hold_no_edge_length_array(overrides):
+    """Every array of a clique layer has at most max(2m, n) entries, for its m members of n agents."""
+    cfg = PopulationConfig(total_pop=overrides["pop_size"], **overrides)
+    n = cfg.pop_size
+    pop = build(cfg)
+    for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
+        layer = pop.layers[name]
+        bound = max(2 * int((group_id >= 0).sum()), n)
+        arrays = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3 and all(len(a) <= bound for a in arrays)
+        assert len(layer.dst) > bound  # the edge list itself would exceed it
+
+
+@pytest.mark.parametrize("pop_size", [50, 600, 10_000])
+def test_clique_contacts_of_any_ids_equal_reference_rows(pop_size):
+    """contacts of unsorted, repeated and empty ids gives the sorted-edge reference's rows, id by id."""
+    cfg = PopulationConfig(pop_size=pop_size, total_pop=pop_size)
+    pop = build(cfg, seed=2)
+    rng = np.random.default_rng(pop_size)
+    for name, group_id in (("household", pop.household_id), ("school", pop.school_id), ("work", pop.work_id)):
+        ids = np.flatnonzero(group_id >= 0)
+        _, dst, indptr = sorted_clique_layer(ids, group_id[ids].astype(np.int64), pop_size)
+        outside = np.flatnonzero(group_id < 0)[:3]
+        for query in (np.empty(0, dtype=np.int64), rng.integers(0, pop_size, size=200),
+                      np.array([7, 7, 3, 7]), np.concatenate([outside, [1], outside])):
+            counts, got = pop.layers[name].contacts(query)
+            rows = [dst[indptr[i]:indptr[i + 1]] for i in query]
+            np.testing.assert_array_equal(counts, [len(r) for r in rows])
+            np.testing.assert_array_equal(got, np.concatenate([np.empty(0, dtype=np.int64)] + rows))
 
 
 def community_day(n, contacts, seed=0) -> CommunityDay:

@@ -302,7 +302,7 @@ def per_layer_transmit(sim, ch_beta, rng):
 
     candidates = []
     for name, layer in sim.pop.layers.items():
-        rows = [layer.dst[layer.indptr[i]:layer.indptr[i + 1]] for i in infectious_ids]
+        rows = [layer.contacts([i])[1] for i in infectious_ids]
         s = np.repeat(infectious_ids, [len(row) for row in rows])
         d = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
         keep = susceptible[d]
