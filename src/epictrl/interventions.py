@@ -100,11 +100,12 @@ def run_testing(sim, ch_tp: float) -> tuple[int, int]:
         ids = np.flatnonzero(eligible)
         if len(ids):
             u = sim.streams["testing"].random(len(ids))
-            # The factor lies in [0, 1], so every draw below ch_tp * factor
-            # is a hit, and so is a symptomatic agent's draw below ch_tp.
-            low = np.flatnonzero(u < ch_tp * cfg.asymptomatic_test_factor)
-            symp = np.searchsorted(ids, np.flatnonzero(eligible & symptomatic))
-            hits = ids[np.union1d(low, symp[u[symp] < ch_tp])]
+            # The factor lies in [0, 1], so a symptomatic agent's draw is a
+            # hit below ch_tp, and every draw below ch_tp * factor is one.
+            hit = u < ch_tp
+            hit &= symptomatic[ids]
+            hit |= u < ch_tp * cfg.asymptomatic_test_factor
+            hits = ids[hit]
             if len(hits):
                 _schedule_results(sim, hits, day + cfg.test_delay)
                 eligible[hits] = False  # their results are now pending

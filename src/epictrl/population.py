@@ -227,10 +227,11 @@ def _clique_layer(name: str, ids: np.ndarray, group_of: np.ndarray, n: int) -> L
     # ascending and then again, so the agent at rank r finds its k - 1
     # contacts from twice[r + s + 1] on.
     slot = np.arange(m) + (np.cumsum(size) - size)[group_sorted]
+    agent = ids[position]
     twice = np.empty(2 * m, dtype=np.int64)
-    twice[slot] = twice[slot + size[group_sorted]] = ids[position]
+    twice[slot] = twice[slot + size[group_sorted]] = agent
     first = np.zeros(n, dtype=np.int32)
-    first[ids[position]] = slot + 1
+    first[agent] = slot + 1
     degree = np.zeros(n, dtype=np.int32)
     degree[ids] = size[group_of] - 1
     return Layer(name=name, members=twice, first=first, degree=degree)

@@ -65,7 +65,7 @@ class TestObservedCsv:
     def test_round_trip(self, tmp_path):
         back = observed_from_csv(str(write_observed(tmp_path)))
         value = np.cumprod([10.0] + [1.15] * 24)  # as write_observed grows it
-        assert back.dates == series(value, value).dates
+        assert back.dates == [date(2020, 1, 21) + timedelta(days=i) for i in range(25)]
         np.testing.assert_array_equal(back.cum_confirmed, np.round(value))
         np.testing.assert_array_equal(back.cum_deaths, np.round(value / 20))
 
