@@ -10,12 +10,7 @@ import numpy as np
 
 from epictrl import FullConfig
 from epictrl.baselines import uk_approximation_schedule
-from epictrl.calibration import (
-    CalibrationSpec,
-    ObservedSeries,
-    search,
-    simulate_observed,
-)
+from epictrl.calibration import CalibrationSpec, mean_series, search, simulate_observed
 
 TRUE_BETA = 0.006
 TRUE_POP_INFECTED = 10.0
@@ -27,14 +22,9 @@ cfg.population.pop_infected = TRUE_POP_INFECTED
 cfg.population.beta_initial = TRUE_BETA
 policy = uk_approximation_schedule()
 
-# Three replications scaled to observed series by the search's own
-# replication path; the schedule applies on its dates from day 0.
-replicas = simulate_observed(cfg, policy, 100, [1000, 1001, 1002])
-observed = ObservedSeries(
-    replicas[0].dates,
-    np.mean([r.cum_confirmed for r in replicas], axis=0),
-    np.mean([r.cum_deaths for r in replicas], axis=0),
-)
+# The mean of three replications scaled to observed series by the search's
+# own replication path; the schedule applies on its dates from day 0.
+observed = mean_series(simulate_observed(cfg, policy, 100, [1000, 1001, 1002]))
 print(f"synthetic target: beta={TRUE_BETA}, pop_infected={TRUE_POP_INFECTED:.0f}, "
       f"final confirmed {observed.cum_confirmed[-1]:.0f}")
 
@@ -45,10 +35,10 @@ spec = CalibrationSpec(
 result = search(spec, observed, cfg, policy=policy, n_days=100)
 
 print(f"\nbest after {spec.trials} trials:")
-print(f"  beta_initial  {result.best_beta_initial:.5f}  "
-      f"(error {100 * (result.best_beta_initial / TRUE_BETA - 1):+.1f}%)")
-print(f"  pop_infected  {result.best_pop_infected:.1f}")
-print(f"  loss          {result.best_loss:.4f}")
+print(f"  beta_initial  {result.best.beta_initial:.5f}  "
+      f"(error {100 * (result.best.beta_initial / TRUE_BETA - 1):+.1f}%)")
+print(f"  pop_infected  {result.best.pop_infected:.1f}")
+print(f"  loss          {result.best.loss:.4f}")
 
 incumbent = np.inf
 print("\nincumbent loss trajectory (every 5 trials):")

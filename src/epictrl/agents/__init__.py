@@ -12,7 +12,6 @@ from .training import (
     TrainResult,
     episode_seed,
     load_checkpoint,
-    policy_from_checkpoint,
     save_checkpoint,
     train,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "compute_gae",
     "episode_seed",
     "load_checkpoint",
-    "policy_from_checkpoint",
     "save_checkpoint",
     "train",
 ]

@@ -63,8 +63,8 @@ def train(
 ) -> TrainResult:
     """Train an agent for a number of episodes; fully seeded.
 
-    agent_kind is "ppo" (either space) or "dqn" (discrete only). Returns the
-    trained agent and the per-episode raw return curve. When checkpoint_dir
+    agent_kind is "ppo" (either space) or "dqn" (discrete only), and space_kind
+    must be config.env.action_space_kind. Returns the trained agent and the per-episode raw return curve. When checkpoint_dir
     is given, it is created if missing, before the first episode, and
     checkpoints are written every checkpoint_every episodes and at the end.
     """
@@ -72,6 +72,8 @@ def train(
         raise ConfigurationError(f"unknown agent kind {agent_kind!r}")
     if agent_kind == "dqn" and space_kind != "discrete":
         raise ConfigurationError("dqn supports only the discrete action space")
+    if space_kind != config.env.action_space_kind:
+        raise ConfigurationError(f"{space_kind} training contradicts env.action_space_kind={config.env.action_space_kind}")
 
     env = env_factory()
     obs_dim = env.observation_dim
@@ -127,7 +129,10 @@ def save_checkpoint(
     master_seed: int,
     curve: list[float],
 ) -> None:
-    """Write the agent and its run; episodes_trained is len(curve)."""
+    """Write the agent and its run; episodes_trained is len(curve).
+
+    path is replaced atomically by a temporary file beside it; a failed write leaves it as it was.
+    """
     data = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "agent_kind": agent_kind,
@@ -141,8 +146,15 @@ def save_checkpoint(
         "rng_state": agent.rng.bit_generator.state,
         **agent.state_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):
@@ -177,8 +189,3 @@ def load_resume_checkpoint(path: str, agent_kind: str, space_kind: str):
             f"checkpoint is {meta['agent_kind']}/{meta['space_kind']}, requested {agent_kind}/{space_kind}"
         )
     return agent, meta
-
-
-def policy_from_checkpoint(path: str):
-    """The trained agent of a checkpoint, whose select_action is greedy."""
-    return load_checkpoint(path)[0]

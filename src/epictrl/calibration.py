@@ -8,10 +8,11 @@ The loss compares pop_scale-scaled cumulative diagnoses and deaths against
 the observed national series with a mean squared relative error.
 
 simulate_observed is the one replication path: it runs a policy on ungated
-episodes of a FullConfig and scales each up to an ObservedSeries. The
-search's trials and the best-fit replay of fit_comparison_to_csv both use
-it, with seeds from replication_seeds, and both compare dates through the
-same join.
+episodes of a FullConfig and scales each up to an ObservedSeries. Each
+trial runs it once, on seeds from replication_seeds, and keeps the
+per-date mean of its replications (mean_series) as its fit. Nothing is
+replayed: fit_comparison_to_csv writes the winning trial's fit beside the
+observed series, through the same date join as the loss.
 """
 
 from __future__ import annotations
@@ -109,13 +110,12 @@ class Trial:
     loss: float
     replication_losses: list[float] = field(default_factory=list)
     failed: bool = False
+    fit: ObservedSeries | None = None  # mean_series of the replications; None if failed
 
 
 @dataclass
 class SearchResult:
-    best_pop_infected: float
-    best_beta_initial: float
-    best_loss: float
+    best: Trial
     trials: list[Trial]
 
 
@@ -156,6 +156,15 @@ def simulate_observed(cfg: FullConfig, policy, n_days: int, seeds: list[int]) ->
             np.array([c.cumulative_dead for c in series], dtype=np.float64) * scale,
         ))
     return replicas
+
+
+def mean_series(replicas: list[ObservedSeries]) -> ObservedSeries:
+    """The per-date mean of replications that share their dates."""
+    return ObservedSeries(
+        replicas[0].dates,
+        np.mean([r.cum_confirmed for r in replicas], axis=0),
+        np.mean([r.cum_deaths for r in replicas], axis=0),
+    )
 
 
 def _join_dates(sim: ObservedSeries, observed: ObservedSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -232,12 +241,7 @@ def search(
 
     if best is None:
         raise SearchError("all calibration trials failed")
-    return SearchResult(
-        best_pop_infected=best.pop_infected,
-        best_beta_initial=best.beta_initial,
-        best_loss=best.loss,
-        trials=trials,
-    )
+    return SearchResult(best, trials)
 
 
 def _evaluate_trial(
@@ -257,7 +261,7 @@ def _evaluate_trial(
         logger.warning("trial %d failed: %s", index, exc)
         return Trial(index, pop_infected, beta_initial, float("inf"), failed=True)
     losses = [calibration_loss(replica, observed) for replica in replicas]
-    return Trial(index, pop_infected, beta_initial, float(np.mean(losses)), losses)
+    return Trial(index, pop_infected, beta_initial, float(np.mean(losses)), losses, fit=mean_series(replicas))
 
 
 def trial_log_to_csv(trials: list[Trial], path: str) -> None:
@@ -275,22 +279,13 @@ def trial_log_to_csv(trials: list[Trial], path: str) -> None:
             ])
 
 
-def fit_comparison_to_csv(
-    result: SearchResult,
-    spec: CalibrationSpec,
-    observed: ObservedSeries,
-    cfg: FullConfig,
-    policy,
-    n_days: int,
-    path: str,
-) -> None:
-    """Replay the best fit once and write it beside the observed series.
+def fit_comparison_to_csv(result: SearchResult, observed: ObservedSeries, path: str) -> None:
+    """Write the winning trial's fit beside the observed series.
 
-    The replay runs the first replication seed of trial 0; rows are the
-    dates both series hold, joined as in calibration_loss.
+    The fit is the mean of the replications the trial's loss averaged; rows
+    are the dates both series hold, joined as in calibration_loss.
     """
-    best = point_config(cfg, result.best_pop_infected, result.best_beta_initial)
-    fitted = simulate_observed(best, policy, n_days, replication_seeds(spec.seed, 0, 1))[0]
+    fitted = result.best.fit
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date,obs_confirmed,sim_confirmed,obs_deaths,sim_deaths\n")
         for i, j in zip(*_join_dates(fitted, observed)):

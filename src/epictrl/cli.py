@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .agents.training import load_resume_checkpoint, policy_from_checkpoint, train
+from .agents.training import load_checkpoint, load_resume_checkpoint, train
 from .analysis import (
     compare_strategies,
     estimate_rt,
@@ -154,7 +154,7 @@ def load_policy(spec: str, cfg: FullConfig) -> tuple[object, list[str]]:
         raise UsageError(f"{kind} file not found: {target}")
     if kind == "schedule":
         return real_world_schedule(target, name=Path(target).stem), [target]
-    return policy_from_checkpoint(target), [target]
+    return load_checkpoint(target)[0], [target]  # the trained agent; its select_action is greedy
 
 
 def policy_label(spec: str) -> str:
@@ -247,15 +247,16 @@ def cmd_calibrate(args) -> int:
     result = search(spec, observed, cfg, policy=policy, n_days=n_days)
     trial_log_to_csv(result.trials, str(out / "trial_log.csv"))
 
+    best = result.best
     with open(out / "best_params.yaml", "w", encoding="utf-8") as fh:
         fh.write("# Calibrated overlay; pass to `epictrl simulate --config`.\n")
         fh.write("population:\n")
-        fh.write(f"  pop_infected: {result.best_pop_infected:.8g}\n")
-        fh.write(f"  beta_initial: {result.best_beta_initial:.8g}\n")
+        fh.write(f"  pop_infected: {best.pop_infected:.8g}\n")
+        fh.write(f"  beta_initial: {best.beta_initial:.8g}\n")
 
-    fit_comparison_to_csv(result, spec, observed, cfg, policy, n_days, str(out / "fit_comparison.csv"))
-    print(f"best loss {result.best_loss:.6g} at pop_infected={result.best_pop_infected:.6g}, "
-          f"beta_initial={result.best_beta_initial:.6g}")
+    fit_comparison_to_csv(result, observed, str(out / "fit_comparison.csv"))
+    print(f"best loss {best.loss:.6g} at pop_infected={best.pop_infected:.6g}, "
+          f"beta_initial={best.beta_initial:.6g}")
     return 0
 
 

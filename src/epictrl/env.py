@@ -96,7 +96,7 @@ class EpidemicEnv:
             raise ProtocolError("step() on a finished episode")
         raw = self._coerce_action(action)
 
-        activated = self._cumulative_diagnoses() >= self.env_cfg.activation_threshold
+        activated = self.sim.cum_diagnoses >= self.env_cfg.activation_threshold
         applied = raw if activated else NULL_ACTION
 
         days_left = self.env_cfg.episode_days - self._days_elapsed
@@ -152,9 +152,6 @@ class EpidemicEnv:
                 return encode_discrete(int(action))
             raise ActionDomainError(f"discrete mode expects an index or an Action, got {type(action)}")
         raise ActionDomainError(f"continuous mode expects an Action, got {type(action)}")
-
-    def _cumulative_diagnoses(self) -> int:
-        return 0 if self.sim is None else self.sim.cum_diagnoses
 
     def _observe(self) -> np.ndarray:
         if self._last_counts is None:

@@ -18,8 +18,8 @@ from epictrl.analysis import estimate_rt, strategy_metrics_from_eval
 from epictrl.baselines import null_policy, seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import (
     CalibrationSpec,
-    ObservedSeries,
     _evaluate_trial,
+    mean_series,
     search,
     simulate_observed,
 )
@@ -236,17 +236,12 @@ def test_criterion_6_calibration_recovery():
     policy = uk_approximation_schedule()
     n_days = 100
 
-    replicas = simulate_observed(cfg, policy, n_days, [1000, 1001, 1002])
-    observed = ObservedSeries(
-        replicas[0].dates,
-        np.mean([r.cum_confirmed for r in replicas], axis=0),
-        np.mean([r.cum_deaths for r in replicas], axis=0),
-    )
+    observed = mean_series(simulate_observed(cfg, policy, n_days, [1000, 1001, 1002]))
 
     spec = CalibrationSpec(pop_infected_range=(2, 40), beta_range=(0.002, 0.015),
                            trials=100, replications=3, seed=7)
     result = search(spec, observed, cfg, policy=policy, n_days=n_days)
-    recovered = abs(result.best_beta_initial - TRUE_BETA) <= 0.25 * TRUE_BETA
+    recovered = abs(result.best.beta_initial - TRUE_BETA) <= 0.25 * TRUE_BETA
 
     rng = np.random.default_rng(99)
     random_losses = []
@@ -255,12 +250,12 @@ def test_criterion_6_calibration_recovery():
         b = float(rng.uniform(*spec.beta_range))
         trial = _evaluate_trial(t, pi, b, spec, observed, cfg, policy, n_days)
         random_losses.append(trial.loss)
-    beats_random = result.best_loss <= np.percentile(random_losses, 10)
+    beats_random = result.best.loss <= np.percentile(random_losses, 10)
 
     runtime = time.time() - t0
     verdict(6, "calibration recovery", recovered and beats_random and runtime <= 600,
-            f"beta {result.best_beta_initial:.5f} (true {TRUE_BETA}), "
-            f"loss {result.best_loss:.4f} vs random p10 "
+            f"beta {result.best.beta_initial:.5f} (true {TRUE_BETA}), "
+            f"loss {result.best.loss:.4f} vs random p10 "
             f"{np.percentile(random_losses, 10):.4f}, {runtime:.0f}s")
 
 

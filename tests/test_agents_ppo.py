@@ -216,6 +216,7 @@ class TestPpoUpdateMechanics:
 class TestTrainLoop:
     def test_zero_episodes_returns_empty_curve(self):
         cfg = FullConfig()
+        cfg.env.action_space_kind = "discrete"
         result = train(lambda: ToyBanditEnv(), "ppo", "discrete", cfg, total_episodes=0, seed=0)
         assert result.curve == []
 
@@ -226,6 +227,7 @@ class TestTrainLoop:
                 return obs, 0.0, done, info
 
         cfg = FullConfig()
+        cfg.env.action_space_kind = "discrete"
         cfg.ppo.reward_scale = 1.0
         result = train(lambda: ZeroEnv(), "ppo", "discrete", cfg, total_episodes=120, seed=0)
         assert result.curve == [0.0] * 120
@@ -241,6 +243,7 @@ class TestTrainLoop:
         cfg = FullConfig()
         cfg.ppo = PpoConfig(n_steps=190, batch_size=19, learning_rate=5e-3, n_epochs=10,
                             gamma=0.99, clip_range=0.2, hidden_sizes=(16,), reward_scale=1.0)
+        cfg.env.action_space_kind = "discrete"
         episodes = 2000
         result = train(lambda: ToyBanditEnv(), "ppo", "discrete", cfg,
                        total_episodes=episodes, seed=1)

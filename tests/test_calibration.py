@@ -101,7 +101,7 @@ class TestSearch:
                                trials=1, replications=1, seed=5)
         result = search(spec, observed, cfg)
         assert len(result.trials) == 1
-        assert result.best_loss == result.trials[0].loss
+        assert result.best.loss == result.trials[0].loss
 
     def test_search_determinism(self):
         cfg, days = cheap_setup()
@@ -126,7 +126,7 @@ class TestSearch:
                 best = min(best, t.loss)
             incumbents.append(best)
         assert incumbents == sorted(incumbents, reverse=True)
-        assert result.best_loss == incumbents[-1]
+        assert result.best.loss == incumbents[-1]
 
     def test_widening_a_range_containing_the_optimum_not_worse_in_expectation(self):
         cfg, days = cheap_setup()
@@ -137,8 +137,8 @@ class TestSearch:
                                      trials=10, replications=1, seed=seed)
             spec_w = CalibrationSpec(pop_infected_range=(2, 64), beta_range=(0.01, 0.3),
                                      trials=10, replications=1, seed=seed)
-            narrow_best.append(search(spec_n, observed, cfg).best_loss)
-            wide_best.append(search(spec_w, observed, cfg).best_loss)
+            narrow_best.append(search(spec_n, observed, cfg).best.loss)
+            wide_best.append(search(spec_w, observed, cfg).best.loss)
         # Paired-seed expectation: generous slack absorbs sampling noise.
         assert np.mean(wide_best) <= np.mean(narrow_best) + 0.5
 
@@ -162,7 +162,7 @@ class TestSearch:
         result = search(spec, observed, cfg)
         assert any(t.failed for t in result.trials)
         assert any(not t.failed for t in result.trials)
-        assert np.isfinite(result.best_loss)
+        assert np.isfinite(result.best.loss)
 
     def test_policy_programming_error_fails_the_search(self):
         cfg, days = cheap_setup()

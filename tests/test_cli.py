@@ -6,11 +6,22 @@ from dataclasses import asdict
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epictrl import cli
+from epictrl.baselines import uk_approximation_schedule
+from epictrl.calibration import (
+    CalibrationSpec,
+    observed_from_csv,
+    point_config,
+    replication_seeds,
+    search,
+    simulate_observed,
+)
 from epictrl.cli import main, parse_seeds
-from epictrl.simulator import counts_from_csv
+from epictrl.config import FullConfig
+from epictrl.simulator import Simulation, counts_from_csv
 
 BASE_OVERRIDES = [
     "--set", "population.pop_size=400",
@@ -173,6 +184,11 @@ def write_observed(directory: Path) -> Path:
     return path
 
 
+# The small calibrate run whose output bytes tests/test_fingerprints.py pins.
+PINNED_CALIBRATE = ["--seed", 1, "--trials", 4, "--replications", 2,
+                    "--pop-infected-range", "4,20", "--beta-range", "0.02,0.2"]
+
+
 class TestCalibrate:
     def test_single_trial_log_and_reloadable_params(self, tmp_path):
         data = write_observed(tmp_path)
@@ -194,6 +210,41 @@ class TestCalibrate:
     def test_missing_data_is_usage_error(self, tmp_path):
         code = run_cli("calibrate", "--out", tmp_path / "x", "--data", "/missing.csv")
         assert code == 2
+
+    def test_simulates_only_the_searched_replications(self, tmp_path, monkeypatch):
+        built = []
+        init = Simulation.__init__
+
+        def counting_init(sim, *args, **kwargs):
+            built.append(args)
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "__init__", counting_init)
+        code = run_cli("calibrate", "--out", tmp_path / "cal", "--data", write_observed(tmp_path),
+                       *PINNED_CALIBRATE, *BASE_OVERRIDES)
+        assert code == 0
+        assert len(built) == 4 * 2  # trials x replications
+
+    def test_fit_table_is_the_winning_trials_mean_replication(self, tmp_path):
+        data = write_observed(tmp_path)
+        out = tmp_path / "cal"
+        assert run_cli("calibrate", "--out", out, "--data", data, *PINNED_CALIBRATE, *BASE_OVERRIDES) == 0
+        cfg = FullConfig.from_dict(json.loads((out / "manifest.json").read_text())["resolved_config"])
+        observed = observed_from_csv(str(data))
+        n_days = min(len(observed), cfg.env.episode_days)
+        spec = CalibrationSpec((4, 20), (0.02, 0.2), trials=4, replications=2, seed=1)
+        trials = search(spec, observed, cfg, uk_approximation_schedule(), n_days).trials
+        winner = trials[2]
+        assert winner.loss == min(t.loss for t in trials)
+
+        replicas = simulate_observed(point_config(cfg, winner.pop_infected, winner.beta_initial),
+                                     uk_approximation_schedule(), n_days, replication_seeds(1, 2, 2))
+        confirmed = np.mean([r.cum_confirmed for r in replicas], axis=0)
+        deaths = np.mean([r.cum_deaths for r in replicas], axis=0)
+        expected = [(d.isoformat(), f"{c:.6g}", f"{x:.6g}")
+                    for d, c, x in zip(replicas[0].dates, confirmed, deaths) if d in observed.dates]
+        rows = [line.split(",") for line in (out / "fit_comparison.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[2], row[4]) for row in rows] == expected
 
 
 class TestTrain:

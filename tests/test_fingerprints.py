@@ -236,10 +236,11 @@ def test_search_fingerprint():
 
 # SHA-256 of the bytes of each output file of `epictrl calibrate` at 400
 # agents: four trials (three Sobol points, one local step) of two
-# replications each, and the best fit replayed against the observed series.
+# replications each, and the winning trial's mean replication beside the
+# observed series.
 CALIBRATE_CLI_FINGERPRINTS = {
     "best_params.yaml": "a441581e9061f18d831ad83c899e2560c38c856bc51e7a29a30c2093cce05526",
-    "fit_comparison.csv": "edc5e5330df0d1eee9285613d0c6db5566b435c98a9b9cb0fd3d2c5a1a6f613c",
+    "fit_comparison.csv": "1ecea6bbd2eaa9c9c1ca1f795dd68bfe6198b6e0051611f72d71897bc23acfa4",
     "trial_log.csv": "422778104812b20b70ad2c3eaf8c6bb9462872060b4a4ec91f7cf41f6ff8a444",
 }
 

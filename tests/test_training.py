@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from epictrl.agents import load_checkpoint, policy_from_checkpoint, save_checkpoint, train
+from epictrl.agents import load_checkpoint, save_checkpoint, train
 from epictrl.agents.networks import flat_params
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
 from epictrl.env import EpidemicEnv, evaluate, summarize
@@ -122,7 +122,7 @@ class TestCheckpointResume:
         fast_cfg.env.action_space_kind = space
         result = train(lambda: EpidemicEnv(fast_cfg), kind, space, fast_cfg,
                        total_episodes=2, seed=3, checkpoint_dir=str(tmp_path))
-        policy = policy_from_checkpoint(str(tmp_path / "checkpoint_final.json"))
+        policy = load_checkpoint(str(tmp_path / "checkpoint_final.json"))[0]
         env = EpidemicEnv(fast_cfg)
         episodes = evaluate(policy, env, [7])
         assert len(episodes[0].series) == fast_cfg.env.episode_days
@@ -161,6 +161,29 @@ class TestCheckpointResume:
         curve = train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
                       total_episodes=3, seed=3).curve
         assert all(type(r) is float for r in curve)
+
+    @pytest.mark.parametrize("space,configured", [("continuous", "discrete"), ("discrete", "continuous")])
+    def test_action_space_contradicting_the_config_is_refused(self, fast_cfg, tmp_path, space, configured):
+        fast_cfg.env.action_space_kind = configured
+        out = tmp_path / "out"
+
+        def factory():
+            raise AssertionError("an environment was built")
+
+        with pytest.raises(ConfigurationError, match="contradicts env.action_space_kind"):
+            train(factory, "ppo", space, fast_cfg, total_episodes=1, seed=3, checkpoint_dir=str(out))
+        assert not out.exists()
+
+    def test_failed_checkpoint_write_keeps_the_previous_file(self, fast_cfg, tmp_path):
+        result = train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg, total_episodes=1, seed=3,
+                       checkpoint_dir=str(tmp_path))
+        path = tmp_path / "checkpoint_final.json"
+        before = path.read_bytes()
+        # json.dump streams the checkpoint, so the curve's last entry fails it mid-write.
+        with pytest.raises(TypeError):
+            save_checkpoint(str(path), result.agent, "ppo", "continuous", 3, result.curve + [object()])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_final.json"]
 
     def test_periodic_checkpoints_written(self, fast_cfg, tmp_path):
         train(lambda: EpidemicEnv(fast_cfg), "ppo", "continuous", fast_cfg,
