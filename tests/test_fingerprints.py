@@ -5,8 +5,8 @@ series of 133 ``step_day`` calls under one fixed action, of a schedule
 policy's episode with and without activation gating, the per-episode
 returns of short PPO and DQN training runs, and the trial losses of a small
 calibration search. The final checkpoint files of those training runs, and
-the output files of a small ``epictrl calibrate`` run, are hashed byte for
-byte. Any change that moves a single random draw or count
+the output files of small ``epictrl calibrate``, ``simulate``, ``evaluate``
+and ``compare`` runs, are hashed byte for byte. Any change that moves a single random draw or count
 fails here, not only a change that makes two runs in one process disagree.
 
 A deliberate model change re-records every table at once. From the root of
@@ -20,6 +20,7 @@ prints each case's current digest in the layout of the tables below.
 import contextlib
 import hashlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -261,6 +262,76 @@ def test_calibrate_cli_fingerprint():
     assert calibrate_cli_digests() == CALIBRATE_CLI_FINGERPRINTS
 
 
+# SHA-256 of the bytes of every file that `epictrl simulate`, `evaluate` and
+# `compare` write at 1,000 agents, ten seeded, over 63 days. Each run writes
+# to the relative directory "run", so the manifests record the same out_dir
+# wherever the tests run. Under every policy R_t falls below 1 on each of
+# seeds 1-3, so every compare row has a crossing day.
+CLI_OVERRIDES = ["--set", "population.pop_size=1000", "--set", "population.total_pop=1000",
+                 "--set", "population.pop_infected=10", "--set", "env.episode_days=63"]
+
+SIMULATE_CLI_FINGERPRINTS = {
+    "daily_counts.csv": "f9132ad1176d2138252c2a31b35db296b2327f4677a9357ad68192f048480770",
+    "manifest.json": "ac901658b59be6044d19df73ac18ba011587f87e3502021f762a561a00005b80",
+    "summary.json": "906fe1c56a2d257ccd7e93d02fcb7a05c37edb68198de64d6ad3035d62fe13dc",
+}
+
+EVALUATE_CLI_FINGERPRINTS = {
+    "manifest.json": "f31d981c35173e044d9d57f08721bcde3940894d0209a1796a97b549fc76dc9c",
+    "metrics.csv": "05c1f5593e49308a1ad1e62091691e43e1c87430bc01e9700e7f81cbec4733af",
+    "summary.json": "d84dfe2770ca65f0c7eba33c48a90675511b01b71aa219f9fac063e202e36a96",
+    "trace_seed1.jsonl": "051f4492bd15bf3e54d2e65b79765b126431db905d4b07196db71bea2ccdcdaa",
+    "trace_seed2.jsonl": "33f0cc8995f1919089e9d1d123a0f60fd1f975f806f836f314b12f74436a552f",
+    "trace_seed3.jsonl": "38d11f0bafc358ac7db8d126fc2b9d45bea1d39667059ef0a45554b08fd14ce5",
+}
+
+COMPARE_CLI_FINGERPRINTS = {
+    "manifest.json": "ce72527f2e79adb6c6c749ca3d8a167ab5efd3016a77b6dcc6d1edcc95271208",
+    "report.csv": "abbfdf542a13ecfeb739642b1c101918aa848ce56080cb03de68ad0d749abd7e",
+    "report.txt": "f70e3c441c4379f72b22870c26409b14d30a2e48f321df1cada16c3c5bc37fd8",
+    "rt_7w7l_seed1.csv": "bc156e7e9c681e84b6e553409e14d8053337022e1d349ef972b87d18ae29e3ed",
+    "rt_7w7l_seed2.csv": "8610af1b94048241b1f8d8cf979e0c65b0b71dd3b3b1b247687c9d2dcc4d6598",
+    "rt_7w7l_seed3.csv": "9fc81b71903de1336a0947e141ccd4ee071fa1f3891965a3274d570853fdd2f4",
+    "rt_none_seed1.csv": "5732412bd95872c14448df7063249de8022b0fa4a7efc90deac5b06620304f26",
+    "rt_none_seed2.csv": "1877367f971eb6d51558c68d3d12477b30c0fe2db26bb27c2e42f89d3ee4e029",
+    "rt_none_seed3.csv": "ce63dd3477ada4558ce6469f4b752a0c8d60d16331f397e7ff31aff64e8dbde8",
+    "rt_uk-approx_seed1.csv": "792d1538bebfba1501cc21b7ce3bc623ccd7389eb436ca039ac2f46e576762a9",
+    "rt_uk-approx_seed2.csv": "14bc5dd1fbfb2604203fc8a475adb5e718907f4aa7eca01850ca12c430d4ea6e",
+    "rt_uk-approx_seed3.csv": "5c157c9532e75326f4ba79db0bef66a8c48697ac223a7af90ef6c7ce2368efe8",
+    "traces/7w7l_seed1.csv": "f9132ad1176d2138252c2a31b35db296b2327f4677a9357ad68192f048480770",
+    "traces/7w7l_seed2.csv": "15651706948ae16946ec706f55d4a45950782fc382cb33f9205e85826df6beb9",
+    "traces/7w7l_seed3.csv": "adb886de39a9fbf114150cdf1c86fac91009fd6c4a267412628d1803be8032be",
+    "traces/none_seed1.csv": "2157fb845bc8f17bd0c87862c92f2731da5a10d34896e3301f8b58d89b42313f",
+    "traces/none_seed2.csv": "9f00f0f4649ac735e85f6890c0287d2302f83ed8d53fec26f261c09a97397592",
+    "traces/none_seed3.csv": "447dc2e571f6e61cd07b0c9647109417bddd6f9248290cecd02276cb17a05404",
+    "traces/uk-approx_seed1.csv": "412cc272935c9e2da6772d6e70d7e44979892c131e534a05218a0af5bfcc4646",
+    "traces/uk-approx_seed2.csv": "11019f87fd080305ed6c7ce25cabd8f537b947a884e7027099b8cd6339703b2a",
+    "traces/uk-approx_seed3.csv": "4dab9cc799b27f7a0b5630c2ab8f5ef3c13956b8823695c2623b5da085871dab",
+}
+
+CLI_RUNS = {
+    "simulate": (["simulate", "--seed", "1", "--policy", "schedule:7w7l"], SIMULATE_CLI_FINGERPRINTS),
+    "evaluate": (["evaluate", "--seeds", "1-3", "--policy", "schedule:uk-approx"], EVALUATE_CLI_FINGERPRINTS),
+    "compare": (["compare", "--seeds", "1-3", "--policy", "none", "--policy", "schedule:7w7l",
+                 "--policy", "schedule:uk-approx"], COMPARE_CLI_FINGERPRINTS),
+}
+
+
+def cli_digests(command) -> dict[str, str]:
+    """Run one pinned command into ./run and hash each file it wrote."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*CLI_RUNS[command][0], "--out", "run", *CLI_OVERRIDES]) == 0
+    root = Path("run")
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_RUNS))
+def test_cli_fingerprint(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests(command) == CLI_RUNS[command][1]
+
+
 def _table(name, rows) -> str:
     body = "".join(f"    {key!r}: {value!r},\n".replace("'", '"') for key, value in rows)
     return f"{name} = {{\n{body}}}"
@@ -284,6 +355,14 @@ def print_current_digests() -> None:
     print(_table("CHECKPOINT_FINGERPRINTS", [(key, value[1]) for key, value in training.items()]))
     print(f'SEARCH_FINGERPRINT = "{search_digest()}"')
     print(_table("CALIBRATE_CLI_FINGERPRINTS", calibrate_cli_digests().items()))
+    cwd = os.getcwd()
+    for command in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                print(_table(f"{command.upper()}_CLI_FINGERPRINTS", cli_digests(command).items()))
+            finally:
+                os.chdir(cwd)
 
 
 if __name__ == "__main__":
