@@ -41,4 +41,4 @@ while not done:
           f"{comps['penalty']:>8.1f}")
 
 print(f"\nepisode return: {total:.1f}")
-print(f"final cumulative infections: {env.sim.cum_infections}")
+print(f"final cumulative infections: {env.pop_size - info['week_counts'][-1].S}")

@@ -11,8 +11,9 @@ import numpy as np
 
 from epictrl import EpidemicEnv, FullConfig
 from epictrl.agents import train
-from epictrl.env import evaluate, summarize
+from epictrl.analysis import summarize
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
+from epictrl.env import evaluate
 
 cfg = FullConfig()
 cfg.population.pop_size = 2000

@@ -25,8 +25,8 @@ for name, policy in (
     ("uk-approx", uk_approximation_schedule()),
 ):
     episode = evaluate(policy, env, [42])[0]
-    rt, smoothed = estimate_rt(episode.series, duration)
-    crossing = rt.first_below_one(min_infectious=5.0, smoothed_infectious=smoothed)
+    rt = estimate_rt(episode.series, duration)
+    crossing = rt.first_below_one(min_infectious=5.0)
 
     print(f"\n{name}: infections {episode.cumulative_infections}, "
           f"Rt first sustained below 1 on day {crossing}")

@@ -1,4 +1,4 @@
-"""Post-hoc analysis: reproduction number and strategy reports.
+"""Post-hoc analysis: reproduction number and across-seed reports.
 
 The real-time reproduction number is estimated with a transparent ratio:
 window-smoothed daily new infections divided by the window-smoothed count
@@ -6,29 +6,34 @@ of currently infectious people, times the mean infectious duration. At a
 steady state where each infectious person is replaced exactly once per
 infectious period the estimate is 1 by construction, and it is invariant
 to rescaling all counts.
+
+Across-seed reports read env.evaluate's EvalEpisodes directly: summarize
+gives one policy's means and standard deviations, compare_strategies one
+row per policy on a shared seed set, and both reduce through mean_sd.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProtocolError
 from .simulator import DailyCounts
 
+RT_WINDOW = 7  # days in the trailing smoothing window
+
 
 @dataclass
 class RtSeries:
-    """R_t estimates on the days where they are defined."""
+    """R_t estimates on the days where they are defined, and the smoothed infectious counts under them."""
 
     days: list[int]
     values: list[float]
-    window: int = 7
+    infectious: list[float]
 
-    def first_below_one(self, min_infectious: float = 5.0, sustain: int = 3,
-                        smoothed_infectious: list[float] | None = None) -> int | None:
+    def first_below_one(self, min_infectious: float = 5.0, sustain: int = 3) -> int | None:
         """First day the estimate drops below 1 and stays there.
 
         Only days whose smoothed infectious count is at least min_infectious
@@ -36,11 +41,8 @@ class RtSeries:
         are noise), and the estimate must remain below 1 for `sustain`
         consecutive defined estimates. Returns None when no such day exists.
         """
-        if smoothed_infectious is None:
-            smoothed_infectious = [np.inf] * len(self.days)
-        n = len(self.days)
-        for i in range(n):
-            if smoothed_infectious[i] < min_infectious:
+        for i, infectious in enumerate(self.infectious):
+            if infectious < min_infectious:
                 continue
             run = self.values[i:i + sustain]
             if len(run) == sustain and all(v < 1.0 for v in run):
@@ -48,18 +50,12 @@ class RtSeries:
         return None
 
 
-def estimate_rt(
-    series: list[DailyCounts],
-    infectious_mean: float,
-    window: int = 7,
-) -> tuple[RtSeries, list[float]]:
+def estimate_rt(series: list[DailyCounts], infectious_mean: float) -> RtSeries:
     """Ratio estimator of the real-time reproduction number.
 
     R_t = (smoothed new infections / smoothed currently infectious) *
-    infectious_mean, using a trailing window. Days whose window
-    contains no infectious person are omitted. Also returns the smoothed
-    infectious counts aligned with the estimates (useful for filtering
-    low-signal days downstream).
+    infectious_mean, using a trailing window of RT_WINDOW days. Days whose
+    window contains no infectious person are omitted.
     """
     if not series:
         raise ProtocolError("cannot estimate R_t from an empty series")
@@ -68,19 +64,17 @@ def estimate_rt(
     new_inf = np.array([c.new_infections for c in series], dtype=np.float64)
     infectious = np.array([c.I for c in series], dtype=np.float64)
 
-    days: list[int] = []
-    values: list[float] = []
-    smoothed_i: list[float] = []
+    rt = RtSeries(days=[], values=[], infectious=[])
     for t in range(len(series)):
-        lo = max(0, t - window + 1)
+        lo = max(0, t - RT_WINDOW + 1)
         inf_bar = infectious[lo:t + 1].mean()
         if inf_bar <= 0:
             continue
         new_bar = new_inf[lo:t + 1].mean()
-        days.append(series[t].day)
-        values.append(float(new_bar / inf_bar * infectious_mean))
-        smoothed_i.append(float(inf_bar))
-    return RtSeries(days=days, values=values, window=window), smoothed_i
+        rt.days.append(series[t].day)
+        rt.values.append(float(new_bar / inf_bar * infectious_mean))
+        rt.infectious.append(float(inf_bar))
+    return rt
 
 
 def rt_to_csv(rt: RtSeries, path: str) -> None:
@@ -91,62 +85,18 @@ def rt_to_csv(rt: RtSeries, path: str) -> None:
             writer.writerow([d, f"{v:.10g}"])
 
 
-@dataclass
-class StrategyMetrics:
-    """Aggregated evaluation metrics for one strategy over a seed set."""
-
-    name: str
-    seeds: tuple[int, ...]
-    returns: list[float]
-    cumulative_infections: list[float]
-    deaths: list[float]
-    economic_loss_pct: list[float]
-    rt_cross_days: list[float] = field(default_factory=list)  # inf when never
-
-    def row(self) -> dict:
-        def stats(xs):
-            arr = np.asarray(xs, dtype=np.float64)
-            sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-            return float(arr.mean()), sd
-
-        out = {"strategy": self.name}
-        for label, xs in (
-            ("cumulative_infections", self.cumulative_infections),
-            ("deaths", self.deaths),
-            ("economic_loss_pct", self.economic_loss_pct),
-            ("return", self.returns),
-        ):
-            mean, sd = stats(xs)
-            out[f"{label}_mean"] = mean
-            out[f"{label}_sd"] = sd
-        finite = [d for d in self.rt_cross_days if np.isfinite(d)]
-        out["rt_below_1_day_mean"] = float(np.mean(finite)) if finite else float("nan")
-        out["rt_below_1_count"] = len(finite)
-        return out
+def mean_sd(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
 
 
-def strategy_metrics_from_eval(
-    name: str,
-    episodes,
-    infectious_mean: float,
-    rt_window: int = 7,
-    min_infectious: float = 5.0,
-) -> StrategyMetrics:
-    """Build comparison metrics from env.evaluate output."""
-    cross_days = []
-    for ep in episodes:
-        rt, smoothed = estimate_rt(ep.series, infectious_mean, rt_window)
-        day = rt.first_below_one(min_infectious=min_infectious, smoothed_infectious=smoothed)
-        cross_days.append(float("inf") if day is None else float(day))
-    return StrategyMetrics(
-        name=name,
-        seeds=tuple(ep.seed for ep in episodes),
-        returns=[ep.total_return for ep in episodes],
-        cumulative_infections=[float(ep.cumulative_infections) for ep in episodes],
-        deaths=[float(ep.total_deaths) for ep in episodes],
-        economic_loss_pct=[100.0 * ep.mean_economic_loss for ep in episodes],
-        rt_cross_days=cross_days,
-    )
+def summarize(episodes) -> dict:
+    """Mean and standard deviation of the headline metrics across seeds."""
+    out = {}
+    for name in ("total_return", "cumulative_infections", "total_deaths", "mean_economic_loss"):
+        out[f"{name}_mean"], out[f"{name}_sd"] = mean_sd([getattr(e, name) for e in episodes])
+    return out
 
 
 REPORT_COLUMNS = (
@@ -159,14 +109,33 @@ REPORT_COLUMNS = (
 )
 
 
-def compare_strategies(metric_sets: list[StrategyMetrics]) -> list[dict]:
-    """Comparison table across strategies evaluated on identical seed sets."""
-    if len(metric_sets) < 2:
+def compare_strategies(runs, infectious_mean: float) -> list[dict]:
+    """Comparison table of (name, episodes) runs evaluated on identical seed sets.
+
+    The R_t columns average the crossing day over the seeds where R_t falls
+    below 1 and count those seeds; the mean is nan when there are none.
+    """
+    if len(runs) < 2:
         raise ProtocolError("compare_strategies needs at least two strategies")
-    seed_sets = {m.seeds for m in metric_sets}
+    seed_sets = {tuple(ep.seed for ep in episodes) for _, episodes in runs}
     if len(seed_sets) != 1:
         raise ProtocolError(f"strategies were evaluated on different seed sets: {seed_sets}")
-    return [m.row() for m in metric_sets]
+    rows = []
+    for name, episodes in runs:
+        row = {"strategy": name}
+        for label, values in (
+            ("cumulative_infections", [ep.cumulative_infections for ep in episodes]),
+            ("deaths", [ep.total_deaths for ep in episodes]),
+            ("economic_loss_pct", [100.0 * ep.mean_economic_loss for ep in episodes]),
+            ("return", [ep.total_return for ep in episodes]),
+        ):
+            row[f"{label}_mean"], row[f"{label}_sd"] = mean_sd(values)
+        crossings = [estimate_rt(ep.series, infectious_mean).first_below_one() for ep in episodes]
+        crossed = [day for day in crossings if day is not None]
+        row["rt_below_1_day_mean"] = float(np.mean(crossed)) if crossed else float("nan")
+        row["rt_below_1_count"] = len(crossed)
+        rows.append(row)
+    return rows
 
 
 def report_to_csv(rows: list[dict], path: str) -> None:

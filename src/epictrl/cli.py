@@ -21,18 +21,11 @@ from pathlib import Path
 
 from . import __version__
 from .agents.training import load_checkpoint, load_resume_checkpoint, train
-from .analysis import (
-    compare_strategies,
-    estimate_rt,
-    report_to_csv,
-    report_to_text,
-    rt_to_csv,
-    strategy_metrics_from_eval,
-)
+from .analysis import compare_strategies, estimate_rt, report_to_csv, report_to_text, rt_to_csv, summarize
 from .baselines import null_policy, real_world_schedule, seven_work_seven_lockdown, uk_approximation_schedule
 from .calibration import CalibrationSpec, fit_comparison_to_csv, observed_from_csv, search, trial_log_to_csv
 from .config import FullConfig, apply_overrides, load_config
-from .env import EpidemicEnv, evaluate, summarize, write_trace
+from .env import EpidemicEnv, evaluate, write_trace
 from .errors import EpictrlError
 from .simulator import counts_to_csv
 
@@ -48,6 +41,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EpictrlError as exc:  # UsageError is one
         print(f"error: {exc}", file=sys.stderr)
@@ -121,19 +116,20 @@ def resolve_config(args) -> FullConfig:
 
 
 def parse_seeds(text: str) -> list[int]:
+    """Seeds from comma-separated non-negative integers and ranges lo-hi (lo <= hi)."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
+        lo, dash, hi = part.partition("-")
         try:
-            if "-" in part and not part.startswith("-"):
-                lo, hi = part.split("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
-            else:
-                seeds.append(int(part))
+            first, last = int(lo), int(hi if dash else lo)
         except ValueError:
-            raise UsageError(f"bad seed {part!r} in {text!r}") from None
+            first = last = -1
+        if first < 0 or last < first:
+            raise UsageError(f"bad seed {part!r} in {text!r}: want integers >= 0 or ranges lo-hi with lo <= hi")
+        seeds.extend(range(first, last + 1))
     if not seeds:
         raise UsageError(f"no seeds in {text!r}")
     return seeds
@@ -174,11 +170,15 @@ def write_manifest(args, cfg: FullConfig, seeds, inputs: list[str], extra: dict 
         "out_dir": str(out),
         **(extra or {}),
     }
-    path = out / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return out
+
+
+def write_json(path: Path, value: dict) -> None:
+    """Indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sha256(path: str) -> str:
@@ -210,9 +210,7 @@ def cmd_simulate(args) -> int:
         "total_deaths": episode.total_deaths,
         "mean_economic_loss_pct": 100.0 * episode.mean_economic_loss,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(f"wrote {out / 'daily_counts.csv'}")
     return 0
 
@@ -312,10 +310,7 @@ def cmd_evaluate(args) -> int:
                      f"{ep.total_deaths},{100.0 * ep.mean_economic_loss:.10g}\n")
     for ep in episodes:
         write_trace(str(out / f"trace_seed{ep.seed}.jsonl"), ep.step_records)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"manifest": "manifest.json", "policy": args.policy, **summarize(episodes)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", {"manifest": "manifest.json", "policy": args.policy, **summarize(episodes)})
     print(f"evaluated {args.policy} on {len(seeds)} seeds")
     return 0
 
@@ -336,17 +331,14 @@ def cmd_compare(args) -> int:
     out = write_manifest(args, cfg, seeds, inputs, {"policies": args.policies})
 
     duration = cfg.disease.infectious_mean
-    metric_sets = []
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for label, episodes in runs:
-        metric_sets.append(strategy_metrics_from_eval(label, episodes, duration))
         for ep in episodes:
-            rt, _ = estimate_rt(ep.series, duration)
-            rt_to_csv(rt, str(out / f"rt_{label}_seed{ep.seed}.csv"))
+            rt_to_csv(estimate_rt(ep.series, duration), str(out / f"rt_{label}_seed{ep.seed}.csv"))
             counts_to_csv(ep.series, str(trace_dir / f"{label}_seed{ep.seed}.csv"))
 
-    rows = compare_strategies(metric_sets)
+    rows = compare_strategies(runs, duration)
     report_to_csv(rows, str(out / "report.csv"))
     text = report_to_text(rows)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:

@@ -18,7 +18,8 @@ every action from day 0.
 
 evaluate() is the one episode loop: every policy is an object with
 select_action(observation, day), and simulate, evaluate, compare and
-calibration runs all go through it.
+calibration runs all go through it. Across-seed reports over its episodes
+live in analysis.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "OBSERVATION_FIELDS",
     "encode_discrete",
     "evaluate",
-    "summarize",
 ]
 
 OBSERVATION_FIELDS = ("S", "E", "I", "R", "D", "cumulative_tests", "cumulative_quarantined", "cumulative_diagnoses")
@@ -173,7 +173,7 @@ class EvalEpisode:
 
     seed: int
     total_return: float
-    cumulative_infections: int
+    cumulative_infections: int  # pop_size - S on the last day: the seeded and the newly infected
     total_deaths: int
     mean_economic_loss: float
     series: list = field(default_factory=list)  # DailyCounts per day
@@ -213,7 +213,7 @@ def evaluate(policy, env, seeds: list[int], keep_traces: bool = False) -> list[E
             EvalEpisode(
                 seed=seed,
                 total_return=total_return,
-                cumulative_infections=int(env.sim.cum_infections),
+                cumulative_infections=pop_size - series[-1].S,
                 total_deaths=series[-1].D,
                 mean_economic_loss=float(np.mean(losses)),
                 series=series,
@@ -221,16 +221,6 @@ def evaluate(policy, env, seeds: list[int], keep_traces: bool = False) -> list[E
             )
         )
     return results
-
-
-def summarize(episodes: list[EvalEpisode]) -> dict:
-    """Mean and standard deviation of the headline metrics across seeds."""
-    out = {}
-    for name in ("total_return", "cumulative_infections", "total_deaths", "mean_economic_loss"):
-        values = np.array([getattr(e, name) for e in episodes], dtype=np.float64)
-        out[f"{name}_mean"] = float(values.mean())
-        out[f"{name}_sd"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return out
 
 
 def write_trace(path: str, records: list[dict]) -> None:

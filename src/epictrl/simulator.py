@@ -305,7 +305,6 @@ class Simulation:
         self.cum_tests = 0
         self.cum_quarantined = 0
         self.cum_diagnoses = 0
-        self.cum_infections = len(self.seeded_ids)  # seeded agents count as infected
 
         # Today's transmission probability table and the lockdown level it
         # was built for.
@@ -365,7 +364,6 @@ class Simulation:
         self.cum_tests += new_tests
         self.cum_quarantined += new_quarantined
         self.cum_diagnoses += new_diagnoses
-        self.cum_infections += len(new_exposed)
 
         counts = self._emit_counts(
             new_infections=len(new_exposed),

@@ -14,7 +14,7 @@ import pytest
 from epictrl.agents import train
 from epictrl.agents.ppo import PPOAgent, clipped_surrogate, compute_gae
 from epictrl.agents.replay import PrioritizedBuffer
-from epictrl.analysis import estimate_rt, strategy_metrics_from_eval
+from epictrl.analysis import estimate_rt
 from epictrl.baselines import null_policy, seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import (
     CalibrationSpec,
@@ -283,19 +283,23 @@ def test_criterion_7_policy_vs_baseline_orderings(trained_ppo_policy):
     env = EpidemicEnv(cfg)
     duration = cfg.disease.infectious_mean
 
-    metrics = {}
-    for name, pol in (
-        ("ppo", policy),
-        ("7w7l", seven_work_seven_lockdown()),
-        ("none", null_policy()),
-        ("uk", uk_approximation_schedule()),
-    ):
-        episodes = evaluate(pol, env, EVAL_SEEDS)
-        metrics[name] = strategy_metrics_from_eval(name, episodes, duration)
+    runs = {
+        name: evaluate(pol, env, EVAL_SEEDS)
+        for name, pol in (
+            ("ppo", policy),
+            ("7w7l", seven_work_seven_lockdown()),
+            ("none", null_policy()),
+            ("uk", uk_approximation_schedule()),
+        )
+    }
 
-    inf = {k: np.array(m.cumulative_infections) for k, m in metrics.items()}
-    loss = {k: np.array(m.economic_loss_pct) for k, m in metrics.items()}
-    cross = {k: np.array(m.rt_cross_days) for k, m in metrics.items()}
+    def crossing_day(ep) -> float:
+        day = estimate_rt(ep.series, duration).first_below_one()
+        return np.inf if day is None else day
+
+    inf = {k: np.array([ep.cumulative_infections for ep in eps], dtype=float) for k, eps in runs.items()}
+    loss = {k: np.array([100.0 * ep.mean_economic_loss for ep in eps]) for k, eps in runs.items()}
+    cross = {k: np.array([crossing_day(ep) for ep in eps], dtype=float) for k, eps in runs.items()}
 
     a_pairs = int(((inf["ppo"] < inf["7w7l"]) & (inf["7w7l"] < inf["none"])).sum())
     a_mean = inf["ppo"].mean() < inf["7w7l"].mean() < inf["none"].mean()
@@ -353,17 +357,17 @@ def test_criterion_9_rt_estimator_properties():
     zero_cfg = acceptance_cfg()
     zero_cfg.population.beta_initial = 0.0
     series = ungated_series(zero_cfg, n_days=40, seed=3)
-    rt_zero, _ = estimate_rt(series, cfg.disease.infectious_mean)
+    rt_zero = estimate_rt(series, cfg.disease.infectious_mean)
     zero_ok = len(rt_zero.values) > 0 and all(v == 0.0 for v in rt_zero.values)
 
     # Engineered steady state: 10 new infections per day, 80 infectious, 8-day duration.
     steady = [make_counts(day=d, I=80, new_infections=10) for d in range(30)]
-    rt_steady, _ = estimate_rt(steady, 8.0)
+    rt_steady = estimate_rt(steady, 8.0)
     steady_ok = all(abs(v - 1.0) <= 1e-9 for v in rt_steady.values)
 
     # Uncontrolled growth phase: at least 5 consecutive estimates above 1.
     growth = ungated_series(cfg, n_days=60, seed=3)
-    rt_growth, _ = estimate_rt(growth, cfg.disease.infectious_mean)
+    rt_growth = estimate_rt(growth, cfg.disease.infectious_mean)
     best = run = 0
     for v in rt_growth.values:
         run = run + 1 if v > 1.0 else 0

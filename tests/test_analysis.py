@@ -11,7 +11,6 @@ from epictrl.analysis import (
     estimate_rt,
     report_to_csv,
     report_to_text,
-    strategy_metrics_from_eval,
 )
 from epictrl.env import EvalEpisode
 from epictrl.errors import ProtocolError
@@ -29,26 +28,26 @@ def constant_series(n_days, infectious, new_infections, start_day=0):
 class TestEstimateRt:
     def test_zero_numerator_gives_zero(self):
         series = constant_series(20, infectious=40, new_infections=0)
-        rt, _ = estimate_rt(series, infectious_mean=8.0)
+        rt = estimate_rt(series, infectious_mean=8.0)
         assert rt.values and all(v == 0.0 for v in rt.values)
 
     def test_steady_state_fixed_point_is_one(self):
         # 10 new infections per day with 80 infectious and 8-day duration.
         series = constant_series(30, infectious=80, new_infections=10)
-        rt, _ = estimate_rt(series, infectious_mean=8.0)
+        rt = estimate_rt(series, infectious_mean=8.0)
         assert all(abs(v - 1.0) <= 1e-9 for v in rt.values)
 
     def test_days_without_infectious_are_omitted(self):
         series = constant_series(10, infectious=0, new_infections=0)
         series += constant_series(10, infectious=50, new_infections=5, start_day=10)
-        rt, _ = estimate_rt(series, infectious_mean=8.0)
+        rt = estimate_rt(series, infectious_mean=8.0)
         assert rt.days[0] == 10
         assert len(rt.days) == 10
 
     def test_all_zero_series_is_empty_not_error(self):
         series = constant_series(10, infectious=0, new_infections=0)
-        rt, smoothed = estimate_rt(series, infectious_mean=8.0)
-        assert rt.days == [] and rt.values == [] and smoothed == []
+        rt = estimate_rt(series, infectious_mean=8.0)
+        assert rt.days == [] and rt.values == [] and rt.infectious == []
 
     def test_scale_free(self):
         rng = np.random.default_rng(0)
@@ -60,15 +59,15 @@ class TestEstimateRt:
             dataclasses.replace(c, I=c.I * 17, new_infections=c.new_infections * 17)
             for c in base
         ]
-        rt_a, _ = estimate_rt(base, 8.0)
-        rt_b, _ = estimate_rt(scaled, 8.0)
+        rt_a = estimate_rt(base, 8.0)
+        rt_b = estimate_rt(scaled, 8.0)
         assert rt_a.days == rt_b.days
         np.testing.assert_allclose(rt_a.values, rt_b.values, rtol=1e-12)
 
     def test_growth_phase_exceeds_one(self, small_cfg):
         series = ungated_series(small_cfg, n_days=60, seed=2)
-        rt, smoothed = estimate_rt(series, small_cfg.disease.infectious_mean)
-        strong = [v for v, s in zip(rt.values, smoothed) if s >= 5.0]
+        rt = estimate_rt(series, small_cfg.disease.infectious_mean)
+        strong = [v for v, s in zip(rt.values, rt.infectious) if s >= 5.0]
         runs = 0
         best = 0
         for v in strong:
@@ -81,17 +80,17 @@ class TestEstimateRt:
             estimate_rt([], 8.0)
 
     def test_crossing_detection_requires_sustained_drop(self):
-        rt = RtSeries(days=list(range(10)), values=[2, 2, 0.5, 2, 2, 0.8, 0.7, 0.6, 0.5, 0.4])
+        rt = RtSeries(days=list(range(10)), values=[2, 2, 0.5, 2, 2, 0.8, 0.7, 0.6, 0.5, 0.4], infectious=[1.0] * 10)
         assert rt.first_below_one(min_infectious=0.0, sustain=3) == 5
         assert rt.first_below_one(min_infectious=0.0, sustain=1) == 2
 
     def test_crossing_detection_skips_low_signal_days(self):
-        rt = RtSeries(days=list(range(6)), values=[0.5, 0.5, 0.5, 0.9, 0.9, 0.9])
-        smoothed = [1.0, 1.0, 1.0, 50.0, 50.0, 50.0]
-        assert rt.first_below_one(min_infectious=5.0, sustain=3, smoothed_infectious=smoothed) == 3
+        rt = RtSeries(days=list(range(6)), values=[0.5, 0.5, 0.5, 0.9, 0.9, 0.9],
+                      infectious=[1.0, 1.0, 1.0, 50.0, 50.0, 50.0])
+        assert rt.first_below_one(min_infectious=5.0, sustain=3) == 3
 
     def test_crossing_none_when_always_above(self):
-        rt = RtSeries(days=[0, 1, 2], values=[1.5, 2.0, 3.0])
+        rt = RtSeries(days=[0, 1, 2], values=[1.5, 2.0, 3.0], infectious=[1.0] * 3)
         assert rt.first_below_one(min_infectious=0.0) is None
 
 
@@ -114,40 +113,46 @@ def epidemic_like_series():
 
 
 class TestCompareStrategies:
-    def _metrics(self, name, scale=1.0):
+    def _run(self, name, scale=1.0, seeds=(1, 2, 3)):
         series = epidemic_like_series()
         episodes = [
             fake_episode(s, int(1000 * scale), int(10 * scale), 0.1 * scale, 500.0 / scale, series)
-            for s in (1, 2, 3)
+            for s in seeds
         ]
-        return strategy_metrics_from_eval(name, episodes, infectious_mean=8.0)
+        return name, episodes
 
     def test_identical_strategies_identical_rows(self):
-        a = self._metrics("a")
-        b = self._metrics("b")
-        rows = compare_strategies([a, b])
+        rows = compare_strategies([self._run("a"), self._run("b")], infectious_mean=8.0)
         assert {k: v for k, v in rows[0].items() if k != "strategy"} == \
                {k: v for k, v in rows[1].items() if k != "strategy"}
 
     def test_mismatched_seed_sets_is_protocol_error(self):
-        a = self._metrics("a")
-        b = self._metrics("b")
-        b = dataclasses.replace(b, seeds=(4, 5, 6))
         with pytest.raises(ProtocolError):
-            compare_strategies([a, b])
+            compare_strategies([self._run("a"), self._run("b", seeds=(4, 5, 6))], infectious_mean=8.0)
 
     def test_single_strategy_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            compare_strategies([self._metrics("a")])
+            compare_strategies([self._run("a")], infectious_mean=8.0)
 
     def test_permutation_invariance_up_to_row_order(self):
-        a, b = self._metrics("a"), self._metrics("b", scale=2.0)
-        fwd = compare_strategies([a, b])
-        rev = compare_strategies([b, a])
+        a, b = self._run("a"), self._run("b", scale=2.0)
+        fwd = compare_strategies([a, b], infectious_mean=8.0)
+        rev = compare_strategies([b, a], infectious_mean=8.0)
         assert fwd[0] == rev[1] and fwd[1] == rev[0]
 
+    def test_rows_are_the_means_and_sds_of_the_episodes(self):
+        name, episodes = self._run("a")
+        episodes = [dataclasses.replace(ep, cumulative_infections=n) for ep, n in zip(episodes, (10, 20, 60))]
+        row = compare_strategies([(name, episodes), self._run("b")], infectious_mean=8.0)[0]
+        sd = float(np.std([10, 20, 60], ddof=1))
+        assert (row["cumulative_infections_mean"], row["cumulative_infections_sd"]) == (30.0, sd)
+        assert row["economic_loss_pct_mean"] == 100.0 * 0.1
+        crossing = estimate_rt(episodes[0].series, 8.0).first_below_one()
+        assert crossing is not None
+        assert (row["rt_below_1_day_mean"], row["rt_below_1_count"]) == (crossing, 3)
+
     def test_report_serialization(self, tmp_path):
-        rows = compare_strategies([self._metrics("a"), self._metrics("b", scale=2.0)])
+        rows = compare_strategies([self._run("a"), self._run("b", scale=2.0)], infectious_mean=8.0)
         path = tmp_path / "report.csv"
         report_to_csv(rows, str(path))
         lines = path.read_text().strip().splitlines()

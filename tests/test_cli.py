@@ -41,6 +41,7 @@ class TestParseSeeds:
         assert parse_seeds("0-3") == [0, 1, 2, 3]
         assert parse_seeds("5") == [5]
         assert parse_seeds("1,4-6") == [1, 4, 5, 6]
+        assert parse_seeds(" 0 , 2-2 ") == [0, 2]
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     @pytest.mark.parametrize("seeds", ["x", "1,4-y"])
@@ -50,6 +51,21 @@ class TestParseSeeds:
         code = run_cli(command, "--out", out, *policies, "--seeds", seeds, *BASE_OVERRIDES)
         assert code == 2
         assert "error: bad seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--seed", -1],
+        ["calibrate", "--seed", -1, "--trials", 1, "--replications", 1],
+        ["train", "--seed", -1, "--agent", "ppo", "--space", "continuous", "--episodes", 1],
+        ["evaluate", "--policy", "none", "--seeds", "1,5-3"],
+        ["compare", "--policy", "none", "--policy", "none", "--seeds", "2,-3"],
+    ], ids=lambda command: command[0])
+    def test_negative_seed_or_empty_range_leaves_no_output_dir(self, tmp_path, capsys, command):
+        out = tmp_path / "X"
+        data = ["--data", write_observed(tmp_path)] if command[0] == "calibrate" else []
+        code = run_cli(*command, *data, "--out", out, *BASE_OVERRIDES)
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -9,7 +9,8 @@ import pytest
 from epictrl.agents import load_checkpoint, save_checkpoint, train
 from epictrl.agents.networks import flat_params
 from epictrl.baselines import null_policy, seven_work_seven_lockdown
-from epictrl.env import EpidemicEnv, evaluate, summarize
+from epictrl.analysis import summarize
+from epictrl.env import EpidemicEnv, evaluate
 from epictrl.errors import ConfigurationError
 from epictrl.interventions import NULL_ACTION, Action
 from epictrl.simulator import Simulation
