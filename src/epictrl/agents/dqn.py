@@ -2,9 +2,8 @@
 
 The online network maps the observation to 64 action values. Updates
 minimize the importance-weighted squared TD error against a target network
-that is hard-copied (tau = 1) every target_update_interval gradient steps,
-or soft-updated for tau < 1. Sampled transitions feed their absolute TD
-errors back into the replay priorities.
+that is hard-copied every target_update_interval gradient steps. Sampled
+transitions feed their absolute TD errors back into the replay priorities.
 """
 
 from __future__ import annotations
@@ -100,17 +99,9 @@ class DQNAgent:
 
         self.gradient_steps += 1
         if self.gradient_steps % cfg.target_update_interval == 0:
-            self._update_target()
+            load_flat_params(self.target_net.parameters(), flat_params(self.q_net.parameters()))
 
         return {"loss": loss, "td_errors": td_errors, "mean_q": float(q_taken.mean())}
-
-    def _update_target(self) -> None:
-        online, target = self.q_net.parameters(), self.target_net.parameters()
-        tau = self.cfg.tau
-        if tau >= 1.0:
-            load_flat_params(target, flat_params(online))
-        else:
-            load_flat_params(target, tau * flat_params(online) + (1.0 - tau) * flat_params(target))
 
     # -- checkpoints --------------------------------------------------------
 

@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:  # evaluate and compare take --seeds instead
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except EpictrlError as exc:  # UsageError is one
@@ -54,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"epictrl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", help=f"YAML config or manifest.json (default: ${CONFIG_ENV_VAR})")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted config override, repeatable")
@@ -87,14 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate one policy over a seed set")
-    common(p)
+    # No abbreviations where there is --seeds: --seed must not be read as it.
+    p = sub.add_parser("evaluate", help="evaluate one policy over a seed set", allow_abbrev=False)
+    common(p, seeded=False)
     p.add_argument("--policy", required=True)
     p.add_argument("--seeds", default="0-9", help="e.g. 1,2,3 or 0-9")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="compare several policies on identical seeds")
-    common(p)
+    p = sub.add_parser("compare", help="compare several policies on identical seeds", allow_abbrev=False)
+    common(p, seeded=False)
     p.add_argument("--policy", dest="policies", action="append", required=True,
                    help="policy spec, repeat at least twice")
     p.add_argument("--seeds", default="0-9")
@@ -105,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared plumbing --------------------------------------------------------
 
 
-def resolve_config(args) -> FullConfig:
+def resolve_config(args) -> tuple[FullConfig, str | None]:
+    """The validated config, and the file it was read from (--config, else $EPICTRL_CONFIG, else None)."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path is not None and not Path(path).is_file():
         raise UsageError(f"config file not found: {path}")
     cfg = load_config(path)
     apply_overrides(cfg, args.overrides)
     cfg.validate()
-    return cfg
+    return cfg, path
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -157,8 +160,11 @@ def policy_label(spec: str) -> str:
     return spec.replace("schedule:", "").replace("checkpoint:", "").replace("/", "_").replace(":", "_") or "none"
 
 
-def write_manifest(args, cfg: FullConfig, seeds, inputs: list[str], extra: dict | None = None) -> Path:
-    """Create the out dir and write manifest.json before any other output."""
+def write_manifest(args, cfg: FullConfig, seeds, inputs: list[str | None], extra: dict | None = None) -> Path:
+    """Create the out dir and write manifest.json before any other output.
+
+    inputs are the files the run read; each is recorded with its SHA-256, and None entries are skipped.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -166,7 +172,7 @@ def write_manifest(args, cfg: FullConfig, seeds, inputs: list[str], extra: dict 
         "tool_version": __version__,
         "resolved_config": cfg.to_dict(),
         "seeds": seeds if isinstance(seeds, list) else [seeds],
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: _sha256(p) for p in inputs if p},
         "out_dir": str(out),
         **(extra or {}),
     }
@@ -193,13 +199,12 @@ def _sha256(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
+    cfg, config_file = resolve_config(args)
     spec = args.policy
     policy, policy_files = load_policy(spec, cfg)
-    inputs = [p for p in [args.config] if p] + policy_files
 
     episode = evaluate(policy, EpidemicEnv(cfg), [args.seed])[0]
-    out = write_manifest(args, cfg, args.seed, inputs, {"policy": spec})
+    out = write_manifest(args, cfg, args.seed, [config_file, *policy_files], {"policy": spec})
     counts_to_csv(episode.series, str(out / "daily_counts.csv"))
     summary = {
         "manifest": "manifest.json",
@@ -216,7 +221,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = resolve_config(args)
+    cfg, config_file = resolve_config(args)
     if not Path(args.data).is_file():
         raise UsageError(f"observed data file not found: {args.data}")
     observed = observed_from_csv(args.data)
@@ -234,8 +239,7 @@ def cmd_calibrate(args) -> int:
         seed=args.seed,
     )
     spec.validate()
-    inputs = [p for p in [args.config, args.data] if p] + policy_files
-    out = write_manifest(args, cfg, args.seed, inputs, {
+    out = write_manifest(args, cfg, args.seed, [config_file, args.data, *policy_files], {
         "data": args.data, "trials": args.trials, "replications": args.replications,
         "schedule": args.schedule,
         "pop_infected_range": [pi_lo, pi_hi], "beta_range": [b_lo, b_hi],
@@ -259,7 +263,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg, config_file = resolve_config(args)
     if args.agent == "dqn" and args.space != "discrete":
         raise UsageError("dqn requires --space discrete")
     if args.episodes < 0:
@@ -269,8 +273,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"resume checkpoint not found: {args.resume}")
         load_resume_checkpoint(args.resume, args.agent, args.space)  # a bad one fails before the out dir exists
     cfg.env.action_space_kind = args.space
-    inputs = [p for p in [args.config, args.resume] if p]
-    out = write_manifest(args, cfg, args.seed, inputs, {
+    out = write_manifest(args, cfg, args.seed, [config_file, args.resume], {
         "agent": args.agent, "space": args.space, "episodes": args.episodes,
         "resume": args.resume,
     })
@@ -296,13 +299,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
+    cfg, config_file = resolve_config(args)
     seeds = parse_seeds(args.seeds)
     policy, policy_files = load_policy(args.policy, cfg)
-    inputs = [p for p in [args.config] if p] + policy_files
 
     episodes = evaluate(policy, EpidemicEnv(cfg), seeds, keep_traces=True)
-    out = write_manifest(args, cfg, seeds, inputs, {"policy": args.policy})
+    out = write_manifest(args, cfg, seeds, [config_file, *policy_files], {"policy": args.policy})
     with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
         fh.write("seed,return,cumulative_infections,deaths,mean_economic_loss_pct\n")
         for ep in episodes:
@@ -316,7 +318,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_config(args)
+    cfg, config_file = resolve_config(args)
     if len(args.policies) < 2:
         raise UsageError("compare needs at least two --policy specs")
     seeds = parse_seeds(args.seeds)
@@ -324,7 +326,7 @@ def cmd_compare(args) -> int:
     labels = [policy_label(s) for s in args.policies]
     if len(set(labels)) != len(labels):
         labels = [f"{label}#{i}" for i, label in enumerate(labels)]
-    inputs = [p for p in [args.config] if p] + [f for _, files in loaded for f in files]
+    inputs = [config_file, *(f for _, files in loaded for f in files)]
 
     env = EpidemicEnv(cfg)
     runs = [(label, evaluate(policy, env, seeds)) for label, (policy, _) in zip(labels, loaded)]

@@ -119,7 +119,6 @@ class InterventionConfig:
     quarantine_transmission_factor: float = 0.3
     quarantine_susceptibility_factor: float = 0.3
     trace_delay: int = 2
-    trace_community: bool = True
     # Passive clinical case detection: symptomatic people present to health
     # care at some daily rate even with no testing program running. These
     # detections produce diagnoses (after test_delay) but are not counted as
@@ -193,8 +192,6 @@ class EnvConfig:
     episode_days: int = 133
     activation_threshold: int = 50
     action_space_kind: str = "continuous"  # "continuous" | "discrete"
-    observation_normalization: bool = True
-    include_diagnoses_dim: bool = True
 
     def validate(self) -> None:
         if self.step_days < 1:
@@ -245,7 +242,6 @@ class DqnConfig:
     learning_starts: int = 57
     learning_rate: float = 1e-4
     target_update_interval: int = 95
-    tau: float = 1.0
     gamma: float = 0.99
     per_alpha: float = 0.6
     per_beta: float = 0.4
@@ -259,8 +255,6 @@ class DqnConfig:
     def validate(self) -> None:
         if self.learning_starts > self.buffer_size:
             raise ConfigurationError("learning_starts must be <= buffer_size")
-        if not 0 < self.tau <= 1:
-            raise ConfigurationError("tau must be in (0, 1]")
         if self.per_alpha < 0:
             raise ConfigurationError("per_alpha must be >= 0")
         if not 0 < self.gamma <= 1:
@@ -310,33 +304,30 @@ def _asdict_plain(obj: Any) -> Any:
 
 
 def _set_field(section: Any, key: str, value: Any) -> None:
+    name = f"{type(section).__name__}.{key}"
     if not hasattr(section, key):
-        raise ConfigurationError(f"unknown config key {type(section).__name__}.{key}")
+        raise ConfigurationError(f"unknown config key {name}")
     current = getattr(section, key)
     if isinstance(current, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{key} expects a list")
         value = tuple(value)
-    elif isinstance(current, bool):
-        value = _coerce_bool(value, key)
-    elif isinstance(current, int) and not isinstance(value, bool):
-        value = int(value)
-    elif isinstance(current, float):
-        value = float(value)
+    elif isinstance(current, (int, float)):
+        value = _number(value, type(current), name)
     setattr(section, key, value)
 
 
-def _coerce_bool(value: Any, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
+def _number(value: Any, kind: type, name: str) -> int | float:
+    """value as kind (int or float); a bool, a non-numeric string or, for int, a fraction is refused."""
     if isinstance(value, str):
-        if value.lower() in ("true", "yes", "on", "1"):
-            return True
-        if value.lower() in ("false", "no", "off", "0"):
-            return False
-    if isinstance(value, (int, float)) and value in (0, 1):
-        return bool(value)
-    raise ConfigurationError(f"{key} expects a boolean, got {value!r}")
+        try:
+            value = float(value)  # YAML 1.1 reads an exponent without a dot, such as 5e-05, as a string
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{name} expects {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str | None = None) -> FullConfig:

@@ -4,7 +4,9 @@ One environment step applies an intervention triple for step_days
 consecutive simulated days and returns the end-of-step observation, the sum
 of the daily rewards over those days (plus, in continuous action spaces,
 one action-change penalty against the previous step's applied action), a
-done flag, and diagnostics.
+done flag, and diagnostics. The observation is the eight OBSERVATION_FIELDS
+counts of the last simulated day (of the seeding, after reset) divided by
+pop_size.
 
 Actions only take effect once the epidemic is visible: while cumulative
 diagnoses are below the activation threshold the applied action is forced
@@ -64,7 +66,7 @@ class EpidemicEnv:
 
     @property
     def observation_dim(self) -> int:
-        return 8 if self.env_cfg.include_diagnoses_dim else 7
+        return len(OBSERVATION_FIELDS)
 
     @property
     def n_steps_per_episode(self) -> int:
@@ -161,10 +163,7 @@ class EpidemicEnv:
         else:
             c = self._last_counts
             values = [getattr(c, f) for f in OBSERVATION_FIELDS]
-        obs = np.asarray(values[: self.observation_dim], dtype=np.float64)
-        if self.env_cfg.observation_normalization:
-            obs = obs / self.pop_size
-        return obs
+        return np.asarray(values, dtype=np.float64) / self.pop_size
 
 
 @dataclass

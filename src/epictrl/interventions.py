@@ -152,9 +152,9 @@ def reveal_test_results(sim) -> np.ndarray:
 def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
     """Trace and quarantine contacts of agents diagnosed today.
 
-    Every household/school/work contact, plus the previous day's community
-    contacts when trace_community is on, is identified independently with
-    probability ch_ctp (one chance per diagnosed-agent/contact pair).
+    Every household/school/work contact, plus each of the previous day's
+    community contacts, is identified independently with probability ch_ctp
+    (one chance per diagnosed-agent/contact pair).
     Identified contacts enter quarantine from day + trace_delay for
     quarantine_duration days. A contact with an active or already scheduled
     quarantine has its expiry extended to the later date and is not counted
@@ -171,7 +171,7 @@ def run_tracing(sim, ch_ctp: float, diagnosed_today: np.ndarray) -> int:
     # Candidates in the order of the layers, then of the diagnosed agents,
     # then of each agent's contacts; yesterday's community layer comes last.
     layers = list(sim.pop.layers.values())
-    if cfg.trace_community and sim.prev_community is not None:
+    if sim.prev_community is not None:
         layers.append(sim.prev_community)
     candidates = np.concatenate([layer.contacts(diagnosed_today)[1] for layer in layers])
     if not len(candidates):

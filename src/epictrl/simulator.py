@@ -326,14 +326,11 @@ class Simulation:
         """
         if not len(ids):
             return
-        rng = self.streams["progression"]
-        dur = rng.lognormal(self._latent_mu, self._latent_sigma, size=len(ids))
-        dur = np.maximum(1, np.rint(dur)).astype(np.int32)
-        self.state.scheduled_day[ids] = exposed_day + dur
+        self.state.scheduled_day[ids] = exposed_day + self._draw_duration(self._latent_mu, self._latent_sigma, len(ids))
 
-    def _draw_infectious_duration(self, k: int) -> np.ndarray:
-        rng = self.streams["progression"]
-        dur = rng.lognormal(self._inf_mu, self._inf_sigma, size=k)
+    def _draw_duration(self, mu: float, sigma: float, k: int) -> np.ndarray:
+        """k lognormal durations in days from the progression stream, rounded and floored at one day."""
+        dur = self.streams["progression"].lognormal(mu, sigma, size=k)
         return np.maximum(1, np.rint(dur)).astype(np.int32)
 
     # -- daily step ------------------------------------------------------
@@ -496,7 +493,7 @@ class Simulation:
             symptomatic = rng.random(len(e_ids)) < p_sym
             p_sev = np.asarray(dc.prob_severe_given_symptomatic)[bands[e_ids]]
             severe_course = symptomatic & (rng.random(len(e_ids)) < p_sev)
-            dur = self._draw_infectious_duration(len(e_ids))
+            dur = self._draw_duration(self._inf_mu, self._inf_sigma, len(e_ids))
 
             asym = e_ids[~symptomatic]
             st.epi_state[asym] = I_ASYMPTOMATIC
@@ -522,7 +519,7 @@ class Simulation:
                 new_severe = len(to_severe)
                 p_death = np.asarray(dc.prob_death_given_severe)[bands[to_severe]]
                 dies = rng.random(len(to_severe)) < p_death
-                dur = self._draw_infectious_duration(len(to_severe))
+                dur = self._draw_duration(self._inf_mu, self._inf_sigma, len(to_severe))
                 st.scheduled_day[to_severe] = self.day + dur
                 st.next_state[to_severe] = np.where(dies, DEAD, RECOVERED).astype(np.int8)
 

@@ -6,8 +6,8 @@ import pytest
 from epictrl.agents.dqn import DQNAgent
 from epictrl.agents.networks import flat_params
 from epictrl.agents.replay import PRIORITY_FLOOR, PrioritizedBuffer
-from epictrl.config import DqnConfig
-from epictrl.errors import ProtocolError
+from epictrl.config import DqnConfig, FullConfig
+from epictrl.errors import ConfigurationError, ProtocolError
 
 
 def fill_buffer(buffer, n, rng=None):
@@ -153,7 +153,7 @@ class TestDqnUpdate:
         assert (sampled_p > 0).all()
 
     def test_target_hard_copy_schedule_tau_1(self):
-        agent = make_agent(target_update_interval=5, tau=1.0)
+        agent = make_agent(target_update_interval=5)
         fill_buffer(agent.buffer, 32)
         for step in range(1, 16):
             agent.update()
@@ -165,13 +165,9 @@ class TestDqnUpdate:
                 assert not np.array_equal(online, target)
 
     def test_soft_update_mixes_parameters(self):
-        agent = make_agent(target_update_interval=1, tau=0.5)
-        fill_buffer(agent.buffer, 32)
-        before_target = flat_params(agent.target_net.parameters())
-        agent.update()
-        after_online = flat_params(agent.q_net.parameters())
-        after_target = flat_params(agent.target_net.parameters())
-        np.testing.assert_allclose(after_target, 0.5 * after_online + 0.5 * before_target)
+        # The target is only ever hard-copied; the key that selected a soft mix is refused.
+        with pytest.raises(ConfigurationError, match="tau"):
+            FullConfig.from_dict({"dqn": {"tau": 0.5}})
 
     def test_epsilon_schedule(self):
         agent = make_agent(epsilon_start=1.0, epsilon_final=0.05, epsilon_fraction=0.5)

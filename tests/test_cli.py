@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from epictrl import cli
 from epictrl.baselines import uk_approximation_schedule
@@ -51,6 +52,17 @@ class TestParseSeeds:
         code = run_cli(command, "--out", out, *policies, "--seeds", seeds, *BASE_OVERRIDES)
         assert code == 2
         assert "error: bad seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["evaluate", "--policy", "none"],
+                                         ["compare", "--policy", "none", "--policy", "none"]],
+                             ids=lambda command: command[0])
+    def test_seed_flag_is_refused_where_seeds_are_listed(self, tmp_path, capsys, command):
+        out = tmp_path / "X"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--seed", 3, "--seeds", 1, "--out", out, *BASE_OVERRIDES)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -186,6 +198,33 @@ class TestSimulate:
             code = run_cli("simulate", "--config", path, "--out", out, "--seed", 1,
                            *BASE_OVERRIDES)
         assert code == 0
+
+    @pytest.mark.parametrize("route", ["--config", "EPICTRL_CONFIG"])
+    def test_config_file_is_recorded_in_inputs(self, tmp_path, monkeypatch, route):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("population:\n  pop_size: 300\n  total_pop: 300\n  pop_infected: 5\n"
+                            "env:\n  episode_days: 14\n")
+        flag = ["--config", cfg_path] if route == "--config" else []
+        if route == "EPICTRL_CONFIG":
+            monkeypatch.setenv("EPICTRL_CONFIG", str(cfg_path))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--out", out, *flag) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(cfg_path): hashlib.sha256(cfg_path.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("source", ["--set=abc", "--set=true", "--set=2.7", "file=yes"])
+    def test_mistyped_number_is_usage_error(self, tmp_path, capsys, source):
+        route, value = source.split("=")
+        if route == "file":
+            path = tmp_path / "cfg.yaml"
+            path.write_text(f"env:\n  step_days: {value}\n")
+            args = ["--config", path]
+        else:
+            args = ["--set", f"env.step_days={value}"]
+        out = tmp_path / "X"
+        assert run_cli("simulate", "--out", out, *BASE_OVERRIDES, *args) == 2
+        assert "EnvConfig.step_days expects an integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_observed(directory: Path) -> Path:
@@ -385,3 +424,42 @@ class TestEvaluateAndCompare:
                        "--policy", "checkpoint:/missing.json", "--seeds", "1")
         assert code == 2
         assert "/missing.json" in capsys.readouterr().err
+
+
+REMOVED_KEYS = ["interventions.trace_community=true", "env.observation_normalization=true",
+                "env.include_diagnoses_dim=true", "dqn.tau=1.0"]
+
+
+class TestRemovedKeys:
+    @pytest.mark.parametrize("route", ["yaml", "set", "manifest"])
+    @pytest.mark.parametrize("override", REMOVED_KEYS)
+    def test_removed_config_key_is_usage_error(self, tmp_path, capsys, route, override):
+        dotted, value = override.split("=")
+        section, key = dotted.split(".")
+        if route == "set":
+            args = ["--set", override]
+        else:
+            config = FullConfig().to_dict()
+            config[section][key] = yaml.safe_load(value)
+            path = tmp_path / ("manifest.json" if route == "manifest" else "cfg.yaml")
+            path.write_text(json.dumps({"resolved_config": config}) if route == "manifest" else yaml.safe_dump(config))
+            args = ["--config", path]
+        out = tmp_path / "X"
+        assert run_cli("simulate", "--out", out, *args, *BASE_OVERRIDES) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and f".{key}" in err
+        assert not out.exists()
+
+    def test_dqn_checkpoint_naming_tau_is_usage_error(self, tmp_path, capsys):
+        train_out = tmp_path / "train"
+        assert run_cli("train", "--out", train_out, "--agent", "dqn", "--space", "discrete",
+                       "--episodes", 0, *BASE_OVERRIDES) == 0
+        path = train_out / "checkpoint_final.json"
+        data = json.loads(path.read_text())
+        data["agent_config"]["tau"] = 1.0
+        path.write_text(json.dumps(data))
+        out = tmp_path / "X"
+        code = run_cli("evaluate", "--out", out, "--policy", f"checkpoint:{path}", "--seeds", "1", *BASE_OVERRIDES)
+        assert code == 2
+        assert "unknown config key DqnConfig.tau" in capsys.readouterr().err
+        assert not out.exists()

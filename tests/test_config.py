@@ -1,5 +1,7 @@
 """Config defaults, validation, YAML round trips, dotted overrides."""
 
+from importlib import resources
+
 import pytest
 
 from epictrl.config import (
@@ -40,9 +42,13 @@ class TestDefaults:
         assert dqn.learning_starts == 57
         assert dqn.learning_rate == pytest.approx(1e-4)
         assert dqn.target_update_interval == 95
-        assert dqn.tau == 1.0
         assert dqn.gamma == pytest.approx(0.99)
         assert (dqn.per_alpha, dqn.per_beta, dqn.per_beta_increment) == (0.6, 0.4, 0.001)
+
+    def test_shipped_default_config_equals_defaults(self):
+        ref = resources.files("epictrl.data").joinpath("default_config.yaml")
+        with resources.as_file(ref) as path:
+            assert load_config(str(path)).to_dict() == FullConfig().to_dict()
 
     def test_pop_scale_property(self):
         assert FullConfig().population.pop_scale == pytest.approx(6786.0)
@@ -110,11 +116,10 @@ class TestFileRoundTrip:
 class TestOverrides:
     def test_dotted_overrides(self):
         cfg = FullConfig()
-        apply_overrides(cfg, ["population.pop_size=500", "rewards.omega3=12.5",
-                              "env.observation_normalization=false"])
+        apply_overrides(cfg, ["population.pop_size=500", "rewards.omega3=12.5", "population.beta_initial=5e-05"])
         assert cfg.population.pop_size == 500
         assert cfg.rewards.omega3 == 12.5
-        assert cfg.env.observation_normalization is False
+        assert cfg.population.beta_initial == 5e-05  # YAML reads 5e-05 as a string
 
     def test_list_override(self):
         cfg = FullConfig()

@@ -7,7 +7,7 @@ import pytest
 
 from epictrl.config import FullConfig
 from epictrl.env import OBSERVATION_FIELDS, EpidemicEnv, encode_discrete
-from epictrl.errors import ActionDomainError, ProtocolError
+from epictrl.errors import ActionDomainError, ConfigurationError, ProtocolError
 from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION
 from epictrl.env import trace_record, write_trace
 
@@ -34,12 +34,11 @@ class TestReset:
         np.testing.assert_array_equal(a, b)
 
     def test_day_zero_observation_reflects_seeding(self, small_cfg):
-        small_cfg.env.observation_normalization = False
         env = EpidemicEnv(small_cfg)
         obs = env.reset(0)
         n = small_cfg.population.pop_size
-        assert obs[0] == n - 10  # ten seeded agents
-        assert obs[1] == 10
+        assert obs[0] == (n - 10) / n  # ten seeded agents
+        assert obs[1] == 10 / n
         assert (obs[2:] == 0).all()
 
     def test_normalized_stocks_sum_to_one(self, small_cfg):
@@ -172,21 +171,22 @@ class TestRewardDecomposition:
         assert info["reward_components"]["penalty"] == 0.0
 
     def test_observation_matches_final_day_counts(self, small_cfg):
-        small_cfg.env.observation_normalization = False
         env = EpidemicEnv(small_cfg)
         env.reset(7)
         obs, _, _, info = env.step(NULL_ACTION)
         last = info["week_counts"][-1]
         for i, name in enumerate(OBSERVATION_FIELDS):
-            assert obs[i] == getattr(last, name)
+            assert obs[i] == getattr(last, name) / small_cfg.population.pop_size
 
 
 class TestObservationConfig:
     def test_seven_dimensional_variant(self, small_cfg):
-        small_cfg.env.include_diagnoses_dim = False
+        # The observation always has all eight fields; the key that dropped the last one is refused.
         env = EpidemicEnv(small_cfg)
-        assert env.observation_dim == 7
-        assert env.reset(0).shape == (7,)
+        assert env.observation_dim == 8
+        assert env.reset(0).shape == (8,)
+        with pytest.raises(ConfigurationError, match="include_diagnoses_dim"):
+            FullConfig.from_dict({"env": {"include_diagnoses_dim": False}})
 
     def test_components_6_to_8_non_decreasing(self, small_cfg):
         env = EpidemicEnv(small_cfg)

@@ -186,7 +186,7 @@ TRAINING_FINGERPRINTS = {
 
 # SHA-256 of the bytes of the same runs' checkpoint_final.json.
 CHECKPOINT_FINGERPRINTS = {
-    ("dqn", "discrete"): "e694647c7140ffa3652d12bb1141f0ee5c9f5ff468e18dff166e5b65b6bcd91c",
+    ("dqn", "discrete"): "990b802e486a996ff19dcd47085b58aa49405f790d61ba4b676b7b46469fc726",
     ("ppo", "continuous"): "178f317d7d65909bdc76bf485aa5ac9c18e9e417c2015483b2b0d9ffb335e62e",
 }
 
@@ -272,12 +272,12 @@ CLI_OVERRIDES = ["--set", "population.pop_size=1000", "--set", "population.total
 
 SIMULATE_CLI_FINGERPRINTS = {
     "daily_counts.csv": "f9132ad1176d2138252c2a31b35db296b2327f4677a9357ad68192f048480770",
-    "manifest.json": "ac901658b59be6044d19df73ac18ba011587f87e3502021f762a561a00005b80",
+    "manifest.json": "7617128d4de387f20b1535ec01a4ad1657da9020963f8f720bb365e50193ec9e",
     "summary.json": "906fe1c56a2d257ccd7e93d02fcb7a05c37edb68198de64d6ad3035d62fe13dc",
 }
 
 EVALUATE_CLI_FINGERPRINTS = {
-    "manifest.json": "f31d981c35173e044d9d57f08721bcde3940894d0209a1796a97b549fc76dc9c",
+    "manifest.json": "70a1a3fad47ecdaa8e7a801ebd33880053b483974b39a1960e92fb134618d2ff",
     "metrics.csv": "05c1f5593e49308a1ad1e62091691e43e1c87430bc01e9700e7f81cbec4733af",
     "summary.json": "d84dfe2770ca65f0c7eba33c48a90675511b01b71aa219f9fac063e202e36a96",
     "trace_seed1.jsonl": "051f4492bd15bf3e54d2e65b79765b126431db905d4b07196db71bea2ccdcdaa",
@@ -286,7 +286,7 @@ EVALUATE_CLI_FINGERPRINTS = {
 }
 
 COMPARE_CLI_FINGERPRINTS = {
-    "manifest.json": "ce72527f2e79adb6c6c749ca3d8a167ab5efd3016a77b6dcc6d1edcc95271208",
+    "manifest.json": "e99ec340d790822fd9f617b63fe30b20fd73ad0a5e56371419c3b0eab022b1e7",
     "report.csv": "abbfdf542a13ecfeb739642b1c101918aa848ce56080cb03de68ad0d749abd7e",
     "report.txt": "f70e3c441c4379f72b22870c26409b14d30a2e48f321df1cada16c3c5bc37fd8",
     "rt_7w7l_seed1.csv": "bc156e7e9c681e84b6e553409e14d8053337022e1d349ef972b87d18ae29e3ed",
