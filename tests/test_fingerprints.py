@@ -3,7 +3,8 @@
 Each case hashes ``repr`` of a run's output with SHA-256: the DailyCounts
 series of 133 ``step_day`` calls under one fixed action, of a schedule
 policy's episode with and without activation gating, the per-episode
-returns of short PPO and DQN training runs, and the trial losses of a small
+returns of short training runs (PPO in both action spaces, DQN in the
+discrete one), and the trial losses of a small
 calibration search. The final checkpoint files of those training runs, and
 the output files of small ``epictrl calibrate``, ``simulate``, ``evaluate``
 and ``compare`` runs, are hashed byte for byte. Any change that moves a single random draw or count
@@ -181,6 +182,7 @@ def test_gated_schedule_fingerprint():
 TRAINING_FINGERPRINTS = {
     ("dqn", "discrete"): "f5786fc1bb87334b0bea475f5ac2ed3fded682dff0b73b5b0edcfb108b2c0d36",
     ("ppo", "continuous"): "d3cddc6fd44bc49cec03c799920c3b622474aacd601d0f92fdfca5fbec9e898e",
+    ("ppo", "discrete"): "51c23a6bdb3225cfee4c7f44eafa4ee050c1a0f9a2f0ccca59efc0b8254f10ec",
 }
 
 
@@ -188,6 +190,7 @@ TRAINING_FINGERPRINTS = {
 CHECKPOINT_FINGERPRINTS = {
     ("dqn", "discrete"): "990b802e486a996ff19dcd47085b58aa49405f790d61ba4b676b7b46469fc726",
     ("ppo", "continuous"): "178f317d7d65909bdc76bf485aa5ac9c18e9e417c2015483b2b0d9ffb335e62e",
+    ("ppo", "discrete"): "245b7d4fb8bd7f7dd3f88f443321e13fd34777a5e4f58aa6604a14cd18d4361c",
 }
 
 
