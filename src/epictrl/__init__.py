@@ -21,8 +21,8 @@ from .config import (
     load_config,
     save_config,
 )
-from .env import EpidemicEnv, encode_discrete
-from .interventions import Action, NULL_ACTION
+from .env import EpidemicEnv
+from .interventions import Action, NULL_ACTION, encode_discrete
 from .simulator import DailyCounts, EpiState, Simulation
 
 __all__ = [

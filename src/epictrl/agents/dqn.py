@@ -35,6 +35,7 @@ class DQNAgent:
             cfg.buffer_size, obs_dim, cfg.per_alpha, cfg.per_beta, cfg.per_beta_increment
         )
         self.gradient_steps = 0
+        self._acted: int | None = None  # grid index of the last act()
 
     # -- acting -----------------------------------------------------------
 
@@ -44,25 +45,27 @@ class DQNAgent:
         anneal = min(1.0, max(0.0, progress) / max(cfg.epsilon_fraction, 1e-9))
         return cfg.epsilon_start + (cfg.epsilon_final - cfg.epsilon_start) * anneal
 
-    def act(self, obs: np.ndarray, progress: float) -> int:
-        """ε-greedy grid index; progress is the share of training done."""
+    def act(self, obs: np.ndarray, progress: float) -> Action:
+        """ε-greedy grid Action; observe() stores its index. progress is the share of training done."""
         if self.rng.random() < self.epsilon(progress):
-            return int(self.rng.integers(self.n_actions))
-        return self.greedy_action(obs)
+            self._acted = int(self.rng.integers(self.n_actions))
+        else:
+            self._acted = self._greedy_index(obs)
+        return encode_discrete(self._acted)
 
-    def greedy_action(self, obs: np.ndarray) -> int:
+    def _greedy_index(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.q_net(obs)[0]))
 
     def select_action(self, observation: np.ndarray, day: int) -> Action:
-        """Greedy evaluation action."""
-        return encode_discrete(self.greedy_action(observation))
+        """Greedy evaluation action: the grid action of the largest value."""
+        return encode_discrete(self._greedy_index(observation))
 
-    def observe(self, obs, action: int, reward: float, next_obs, done: bool) -> dict | None:
-        """Store the transition; once learning_starts are stored, take one update.
+    def observe(self, obs, reward: float, next_obs, done: bool) -> dict | None:
+        """Store the transition of the last act(); once learning_starts are stored, take one update.
 
         Returns the update's diagnostics, or None.
         """
-        self.buffer.add(obs, action, reward * self.cfg.reward_scale, next_obs, done)
+        self.buffer.add(obs, self._acted, reward * self.cfg.reward_scale, next_obs, done)
         if len(self.buffer) < self.cfg.learning_starts:
             return None
         return self.update()

@@ -8,6 +8,12 @@ ratios are evaluated at the stored pre-squash samples, where the squash
 Jacobian cancels between new and old policies, so the update needs no
 explicit correction term. The discrete actor is a plain categorical over
 the 64 grid actions.
+
+Each actor owns everything its action space decides: the Action it samples
+(keeping the pre-squash sample or the grid index for the update), its greedy
+Action, the rollout's empty action array, and the log-probability forward
+and backward passes of the loss. PPOAgent picks its actor once and never
+branches on the space again.
 """
 
 from __future__ import annotations
@@ -89,16 +95,20 @@ class ContinuousActor:
     def squash(self, u: np.ndarray) -> np.ndarray:
         return self.center + self.half * np.tanh(u)
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-        """Draws (action, pre-squash sample, log-prob in pre-squash space)."""
+    def empty_actions(self, n: int) -> np.ndarray:
+        return np.zeros((n, self.act_dim))
+
+    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[Action, np.ndarray, float]:
+        """Draws (Action, pre-squash sample, log-prob in pre-squash space)."""
         mean = self.mlp(obs)[0]
         std = np.exp(self.log_std)
         u = mean + std * rng.standard_normal(self.act_dim)
         logp = float(self.log_prob(u[None, :], mean[None, :])[0])
-        return self.squash(u), u, logp
+        return Action(*[float(a) for a in self.squash(u)]), u, logp
 
-    def deterministic(self, obs: np.ndarray) -> np.ndarray:
-        return self.squash(self.mlp(obs)[0])
+    def greedy(self, obs: np.ndarray) -> Action:
+        """The squashed mean."""
+        return Action(*[float(a) for a in self.squash(self.mlp(obs)[0])])
 
     def log_prob(self, u: np.ndarray, mean: np.ndarray) -> np.ndarray:
         """Log-density of pre-squash samples u under Gaussians centred on mean."""
@@ -109,6 +119,23 @@ class ContinuousActor:
     def entropy(self) -> float:
         """Entropy of the pre-squash Gaussian (state-independent)."""
         return float((self.log_std + 0.5 * (LOG_2PI + 1.0)).sum())
+
+    def forward(self, obs: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Log-probs of stored pre-squash samples, and what backward() needs."""
+        mean, cache = self.mlp.forward(obs)
+        return self.log_prob(actions, mean), (actions, mean, cache)
+
+    def backward(self, saved: tuple, dlogp: np.ndarray, entropy_coef: float) -> tuple[list[np.ndarray], float]:
+        """Actor gradients of sum(dlogp * logp) - entropy_coef * H, and the entropy H."""
+        actions, mean, cache = saved
+        std = np.exp(self.log_std)
+        z = (actions - mean) / std
+        entropy = self.entropy()
+        dmean = dlogp[:, None] * (z / std)
+        grads = self.mlp.backward(cache, dmean)
+        dlog_std = (dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
+        dlog_std -= entropy_coef  # d(-coef * H)/dlog_std = -coef
+        return grads + [dlog_std], entropy
 
     def parameters(self) -> list[np.ndarray]:
         return self.mlp.parameters() + [self.log_std]
@@ -127,15 +154,40 @@ class DiscreteActor:
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
+    def empty_actions(self, n: int) -> np.ndarray:
+        return np.zeros(n, dtype=np.int64)
+
+    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[Action, int, float]:
+        """Draws (Action, grid index, log-prob)."""
         logp = self._log_softmax(self.mlp(obs))[0]
         probs = np.exp(logp)
         idx = int(np.searchsorted(np.cumsum(probs), rng.random()))
         idx = min(idx, self.n_actions - 1)
-        return idx, float(logp[idx])
+        return encode_discrete(idx), idx, float(logp[idx])
 
-    def deterministic(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.mlp(obs)[0]))
+    def greedy(self, obs: np.ndarray) -> Action:
+        """The likeliest grid action."""
+        return encode_discrete(int(np.argmax(self.mlp(obs)[0])))
+
+    def forward(self, obs: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Log-probs of stored grid indices, and what backward() needs."""
+        logits, cache = self.mlp.forward(obs)
+        log_probs_all = self._log_softmax(logits)
+        idx = actions.astype(np.int64)
+        return log_probs_all[np.arange(len(obs)), idx], (idx, log_probs_all, cache)
+
+    def backward(self, saved: tuple, dlogp: np.ndarray, entropy_coef: float) -> tuple[list[np.ndarray], float]:
+        """Actor gradients of sum(dlogp * logp) - entropy_coef * H, and H, the batch's mean entropy."""
+        idx, log_probs_all, cache = saved
+        b = len(idx)
+        probs = np.exp(log_probs_all)
+        entropies = -(probs * log_probs_all).sum(axis=1)
+        one_hot = np.zeros_like(probs)
+        one_hot[np.arange(b), idx] = 1.0
+        dlogits = dlogp[:, None] * (one_hot - probs)
+        # d(-coef * mean(H))/dlogits
+        dlogits += (entropy_coef / b) * probs * (log_probs_all + entropies[:, None])
+        return self.mlp.backward(cache, dlogits), float(entropies.mean())
 
     def parameters(self) -> list[np.ndarray]:
         return self.mlp.parameters()
@@ -144,11 +196,11 @@ class DiscreteActor:
 class Rollout:
     """Fixed-size on-policy transition store for one PPO update."""
 
-    def __init__(self, n_steps: int, obs_dim: int, continuous: bool, act_dim: int = 3):
-        self.n_steps = n_steps
-        self.continuous = continuous
+    def __init__(self, obs_dim: int, actions: np.ndarray):
+        """actions is the actor's zeroed action store; its length is the rollout's."""
+        self.n_steps = n_steps = len(actions)
         self.obs = np.zeros((n_steps, obs_dim))
-        self.actions = np.zeros((n_steps, act_dim)) if continuous else np.zeros(n_steps, dtype=np.int64)
+        self.actions = actions
         self.log_probs = np.zeros(n_steps)
         self.rewards = np.zeros(n_steps)
         self.values = np.zeros(n_steps)
@@ -180,7 +232,6 @@ class PPOAgent:
                  n_actions: int = N_DISCRETE_ACTIONS):
         cfg.validate()
         self.cfg = cfg
-        self.space_kind = space_kind
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -196,33 +247,27 @@ class PPOAgent:
         self.critic = MLP((obs_dim, *cfg.hidden_sizes, 1), init_rng)
         self.params = self.actor.parameters() + self.critic.parameters()
         self.optimizer = Adam(self.params, lr=cfg.learning_rate)
-        self.rollout = Rollout(cfg.n_steps, obs_dim, continuous=(space_kind == "continuous"))
+        self.rollout = Rollout(obs_dim, self.actor.empty_actions(cfg.n_steps))
         self._acted: tuple | None = None  # (stored action, log-prob, value) of the last act()
 
     # -- acting -----------------------------------------------------------
 
-    def act(self, obs: np.ndarray, progress: float) -> object:
-        """Sample an env action; observe() stores it for the next update.
+    def act(self, obs: np.ndarray, progress: float) -> Action:
+        """Sample an Action; observe() stores the sample behind it for the next update.
 
         progress (the share of training done) is unused: PPO explores
         through its own action distribution.
         """
         value = float(self.critic(obs)[0, 0])
-        if self.space_kind == "continuous":
-            action, u, logp = self.actor.sample(obs, self.rng)
-            self._acted = (u, logp, value)
-            return Action(*[float(a) for a in action])
-        idx, logp = self.actor.sample(obs, self.rng)
-        self._acted = (idx, logp, value)
-        return idx
+        action, stored, logp = self.actor.sample(obs, self.rng)
+        self._acted = (stored, logp, value)
+        return action
 
     def select_action(self, observation: np.ndarray, day: int) -> Action:
         """Greedy evaluation action: the squashed mean or the likeliest grid action."""
-        if self.space_kind == "continuous":
-            return Action(*[float(a) for a in self.actor.deterministic(observation)])
-        return encode_discrete(self.actor.deterministic(observation))
+        return self.actor.greedy(observation)
 
-    def observe(self, obs, action, reward: float, next_obs, done: bool) -> dict | None:
+    def observe(self, obs, reward: float, next_obs, done: bool) -> dict | None:
         """Store the transition of the last act(); update once the rollout is full.
 
         The update bootstraps from the critic's value of next_obs unless the
@@ -294,17 +339,7 @@ class PPOAgent:
         """
         cfg = self.cfg
         b = len(obs)
-
-        if self.space_kind == "continuous":
-            actor: ContinuousActor = self.actor
-            mean, cache = actor.mlp.forward(obs)
-            logp_new = actor.log_prob(actions, mean)
-        else:
-            actor: DiscreteActor = self.actor
-            logits, cache = actor.mlp.forward(obs)
-            log_probs_all = DiscreteActor._log_softmax(logits)
-            idx = actions.astype(np.int64)
-            logp_new = log_probs_all[np.arange(b), idx]
+        logp_new, saved = self.actor.forward(obs, actions)
 
         rho = np.exp(logp_new - logp_old)
         surrogate = clipped_surrogate(rho, advantages, cfg.clip_range)
@@ -312,26 +347,7 @@ class PPOAgent:
         # Gradient flows through the unclipped branch wherever it attains the min.
         active = (rho * advantages <= surrogate).astype(np.float64)
         dlogp = -(advantages * rho * active) / b
-
-        if self.space_kind == "continuous":
-            std = np.exp(actor.log_std)
-            z = (actions - mean) / std
-            entropy = actor.entropy()
-            dmean = dlogp[:, None] * (z / std)
-            actor_grads = actor.mlp.backward(cache, dmean)
-            dlog_std = (dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
-            dlog_std -= cfg.entropy_coef  # d(-coef * H)/dlog_std = -coef
-            actor_grads = actor_grads + [dlog_std]
-        else:
-            probs = np.exp(log_probs_all)
-            entropies = -(probs * log_probs_all).sum(axis=1)
-            entropy = float(entropies.mean())
-            one_hot = np.zeros_like(probs)
-            one_hot[np.arange(b), idx] = 1.0
-            dlogits = dlogp[:, None] * (one_hot - probs)
-            # d(-coef * mean(H))/dlogits
-            dlogits += (cfg.entropy_coef / b) * probs * (log_probs_all + entropies[:, None])
-            actor_grads = actor.mlp.backward(cache, dlogits)
+        actor_grads, entropy = self.actor.backward(saved, dlogp, cfg.entropy_coef)
 
         values, vcache = self.critic.forward(obs)
         values = values[:, 0]

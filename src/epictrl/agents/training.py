@@ -1,11 +1,13 @@
 """Training loop, learning curves, and checkpoints.
 
-Both agent kinds share one protocol: act(obs, progress) returns an env
-action, observe(obs, action, reward, next_obs, done) stores the transition
-and updates when the agent's own rule says so, select_action(obs, day) is
-the greedy evaluation action, and state_dict()/load_state_dict() carry the
-kind-specific checkpoint payload. So the loop below and the checkpoint code
-never branch on the kind, and a trained agent is an evaluation policy.
+Both agent kinds share one protocol: act(obs, progress) returns the Action
+to step the environment with and keeps what the agent learns from (the grid
+index or the pre-squash sample), observe(obs, reward, next_obs, done) stores
+that transition and updates when the agent's own rule says so,
+select_action(obs, day) is the greedy evaluation Action, and
+state_dict()/load_state_dict() carry the kind-specific checkpoint payload.
+So the loop below and the checkpoint code never branch on the kind, and a
+trained agent is an evaluation policy.
 
 Episode seeds derive deterministically from the master seed and the episode
 index, so a run resumed from a checkpoint sees exactly the episode seed
@@ -102,7 +104,7 @@ def train(
         while not done:
             action = agent.act(obs, steps_done / total_steps_planned)
             next_obs, reward, done, _ = env.step(action)
-            agent.observe(obs, action, reward, next_obs, done)
+            agent.observe(obs, reward, next_obs, done)
             ep_return += reward
             obs = next_obs
             steps_done += 1

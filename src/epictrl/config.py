@@ -180,7 +180,7 @@ class RewardWeights:
             v = getattr(self, f.name)
             if v is None and f.name == "economic_scale":
                 continue
-            if not isinstance(v, (int, float)) or v != v:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
                 raise ConfigurationError(f"{f.name} must be a finite number")
 
 
@@ -304,16 +304,19 @@ def _asdict_plain(obj: Any) -> Any:
 
 
 def _set_field(section: Any, key: str, value: Any) -> None:
+    """Set one field, typed by its declared default: a number, a tuple of numbers, None or a float, or a string."""
     name = f"{type(section).__name__}.{key}"
-    if not hasattr(section, key):
+    default = next((f.default for f in fields(section) if f.name == key), dataclasses.MISSING)
+    if default is dataclasses.MISSING:
         raise ConfigurationError(f"unknown config key {name}")
-    current = getattr(section, key)
-    if isinstance(current, tuple):
+    if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{key} expects a list")
-        value = tuple(value)
-    elif isinstance(current, (int, float)):
-        value = _number(value, type(current), name)
+        value = tuple(_number(v, type(default[0]), f"{name}[{i}]") for i, v in enumerate(value))
+    elif isinstance(default, (int, float)):
+        value = _number(value, type(default), name)
+    elif default is None and value is not None:
+        value = _number(value, float, name)
     setattr(section, key, value)
 
 

@@ -11,12 +11,12 @@ pop_size.
 Actions only take effect once the epidemic is visible: while cumulative
 diagnoses are below the activation threshold the applied action is forced
 to the null triple (no lockdown, no testing, no tracing) regardless of the
-input. Schedule policies are allowed outside the agents' continuous box
+input. step() takes only an Action, in either action space: a discrete
+agent decodes the grid index it chose (interventions.encode_discrete)
+itself. Schedule policies are allowed outside the agents' continuous box
 (e.g. deeper lockdowns) and off the discrete grid: every Action already
 lies in its physical [0, 1] domain, so both modes apply any Action as
-given. Discrete mode also takes a flat grid index (encode_discrete), which
-it checks against the grid's size. An activation threshold of 0 applies
-every action from day 0.
+given. An activation threshold of 0 applies every action from day 0.
 
 evaluate() is the one episode loop: every policy is an object with
 select_action(observation, day), and simulate, evaluate, compare and
@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import FullConfig
 from .errors import ActionDomainError, ProtocolError
-from .interventions import Action, NULL_ACTION, encode_discrete
+from .interventions import Action, NULL_ACTION
 from .rewards import action_penalty, daily_reward, economic_loss
 from .simulator import DailyCounts, Simulation
 
@@ -41,7 +41,6 @@ __all__ = [
     "EpidemicEnv",
     "EvalEpisode",
     "OBSERVATION_FIELDS",
-    "encode_discrete",
     "evaluate",
 ]
 
@@ -57,8 +56,6 @@ class EpidemicEnv:
         self.env_cfg = config.env
         self.pop_size = config.population.pop_size
         self.sim: Simulation | None = None
-        self._done = True
-        self._days_elapsed = 0
         self._prev_applied = NULL_ACTION
         self._last_counts: DailyCounts | None = None
 
@@ -79,29 +76,27 @@ class EpidemicEnv:
         self.sim = Simulation(
             self.config.population, self.config.disease, self.config.interventions, seed
         )
-        self._done = False
-        self._days_elapsed = 0
         self._prev_applied = NULL_ACTION
         self._last_counts = None
         return self._observe()
 
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
+    def step(self, action: Action) -> tuple[np.ndarray, float, bool, dict]:
         """Apply an action for one decision block of step_days days.
 
-        Accepts an Action, or a flat index in discrete mode. Raises
-        ActionDomainError for out-of-domain actions and ProtocolError when
-        called on a finished episode.
+        Raises ActionDomainError for anything but an Action and
+        ProtocolError when called on a finished episode.
         """
         if self.sim is None:
             raise ProtocolError("step() before reset()")
-        if self._done:
+        days_left = self.env_cfg.episode_days - self.sim.day
+        if days_left <= 0:
             raise ProtocolError("step() on a finished episode")
-        raw = self._coerce_action(action)
+        if not isinstance(action, Action):
+            raise ActionDomainError(f"step() expects an Action, got {type(action).__name__}")
 
         activated = self.sim.cum_diagnoses >= self.env_cfg.activation_threshold
-        applied = raw if activated else NULL_ACTION
+        applied = action if activated else NULL_ACTION
 
-        days_left = self.env_cfg.episode_days - self._days_elapsed
         block = min(self.env_cfg.step_days, days_left)
         weights = self.config.rewards
 
@@ -124,14 +119,12 @@ class EpidemicEnv:
             penalty = action_penalty(applied, self._prev_applied)
             reward += weights.lambda3 * penalty
 
-        self._days_elapsed += block
         self._last_counts = week_counts[-1]
         self._prev_applied = applied
-        self._done = self._days_elapsed >= self.env_cfg.episode_days
 
         info = {
-            "day": self._days_elapsed,
-            "raw_action": raw,
+            "day": self.sim.day,
+            "raw_action": action,
             "applied_action": applied,
             "activated": activated,
             "week_counts": week_counts,
@@ -142,18 +135,9 @@ class EpidemicEnv:
                 "penalty": penalty,
             },
         }
-        return self._observe(), reward, self._done, info
+        return self._observe(), reward, self.sim.day >= self.env_cfg.episode_days, info
 
     # -- helpers -----------------------------------------------------------
-
-    def _coerce_action(self, action) -> Action:
-        if isinstance(action, Action):
-            return action
-        if self.env_cfg.action_space_kind == "discrete":
-            if isinstance(action, (int, np.integer)):
-                return encode_discrete(int(action))
-            raise ActionDomainError(f"discrete mode expects an index or an Action, got {type(action)}")
-        raise ActionDomainError(f"continuous mode expects an Action, got {type(action)}")
 
     def _observe(self) -> np.ndarray:
         if self._last_counts is None:

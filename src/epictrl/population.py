@@ -184,10 +184,6 @@ class Population:
     work_id: np.ndarray       # int32, -1 when not employed
     layers: dict[str, Layer]  # household/school/work cliques
 
-    @property
-    def size(self) -> int:
-        return len(self.ages)
-
 
 def _partition_into_groups(members: np.ndarray, mean_contacts: float, rng: np.random.Generator) -> np.ndarray:
     """Assign members to groups with mean size ~ mean_contacts + 1.

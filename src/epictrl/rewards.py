@@ -69,12 +69,9 @@ def action_penalty(a_t: Action, a_prev: Action) -> float:
     return float(total)
 
 
-def combine(r_h: float, r_e_scaled: float, w: RewardWeights, r_p: float | None = None) -> float:
-    """Weighted combination; the penalty term enters only when present."""
-    total = w.lambda1 * r_h + w.lambda2 * r_e_scaled
-    if r_p is not None:
-        total += w.lambda3 * r_p
-    return total
+def combine(r_h: float, r_e_scaled: float, w: RewardWeights) -> float:
+    """Weighted health plus economic reward; the environment adds lambda3 × penalty per step."""
+    return w.lambda1 * r_h + w.lambda2 * r_e_scaled
 
 
 def economic_loss(r_e: float, w: RewardWeights, pop_size: int) -> float:

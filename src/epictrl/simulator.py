@@ -219,12 +219,6 @@ def counts_to_csv(series: list[DailyCounts], path: str) -> None:
             writer.writerow([getattr(c, name) for name in COUNT_FIELDS])
 
 
-def counts_from_csv(path: str) -> list[DailyCounts]:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [DailyCounts(**{k: int(row[k]) for k in COUNT_FIELDS}) for row in reader]
-
-
 def _lognormal_params(mean: float, sd: float) -> tuple[float, float]:
     """Underlying (mu, sigma) of a lognormal with the given real-space moments."""
     sigma2 = np.log(1.0 + (sd / mean) ** 2)

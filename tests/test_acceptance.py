@@ -24,8 +24,8 @@ from epictrl.calibration import (
     simulate_observed,
 )
 from epictrl.config import FullConfig, PpoConfig, RewardWeights
-from epictrl.env import EpidemicEnv, encode_discrete, evaluate
-from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION
+from epictrl.env import EpidemicEnv, evaluate
+from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION, encode_discrete
 
 from tests.episodes import constant_policy, ungated_series
 from tests.test_agents_ppo import finite_difference_grads, gae_bruteforce, make_batch, tiny_agent
@@ -105,7 +105,7 @@ def test_criterion_2_reward_oracle():
         r_h = health_reward(counts, w)
         r_e, r_scaled = economic_reward(counts, action, w, pop)
         r_p = action_penalty(action, prev) if continuous else None
-        total = combine(r_h, r_scaled, w, r_p)
+        total = combine(r_h, r_scaled, w) + (w.lambda3 * r_p if continuous else 0.0)
         l_e = economic_loss(r_e, w, pop)
         checks = [rel_close(r_h, o_rh), rel_close(r_e, o_re), rel_close(r_scaled, o_scaled),
                   rel_close(total, o_total), rel_close(l_e, o_le)]

@@ -8,6 +8,7 @@ from epictrl.agents.networks import flat_params
 from epictrl.agents.replay import PRIORITY_FLOOR, PrioritizedBuffer
 from epictrl.config import DqnConfig, FullConfig
 from epictrl.errors import ConfigurationError, ProtocolError
+from epictrl.interventions import encode_discrete
 
 
 def fill_buffer(buffer, n, rng=None):
@@ -179,7 +180,13 @@ class TestDqnUpdate:
     def test_observe_updates_from_learning_starts(self):
         agent = make_agent(learning_starts=8, reward_scale=0.5)
         rng = np.random.default_rng(2)
-        results = [agent.observe(rng.normal(size=4), 3, 2.0, rng.normal(size=4), False) for _ in range(10)]
+
+        def act_and_observe():
+            obs = rng.normal(size=4)
+            agent.act(obs, 0.0)
+            return agent.observe(obs, 2.0, rng.normal(size=4), False)
+
+        results = [act_and_observe() for _ in range(10)]
         assert results[:7] == [None] * 7
         assert all("loss" in r for r in results[7:])
         assert agent.gradient_steps == 3
@@ -189,4 +196,4 @@ class TestDqnUpdate:
         agent = make_agent()
         obs = np.ones(4)
         q = agent.q_net(obs)[0]
-        assert agent.greedy_action(obs) == int(np.argmax(q))
+        assert agent.select_action(obs, 0) == encode_discrete(int(np.argmax(q)))

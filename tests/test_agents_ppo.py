@@ -8,6 +8,7 @@ from epictrl.agents.ppo import PPOAgent, Rollout, clipped_surrogate, compute_gae
 from epictrl.agents.training import train
 from epictrl.config import FullConfig, PpoConfig
 from epictrl.errors import ShapeError
+from epictrl.interventions import encode_discrete
 
 
 def gae_bruteforce(rewards, values, dones, gamma, lam, last_value):
@@ -167,7 +168,7 @@ class TestNetworks:
 class ToyBanditEnv:
     """Two-step bandit: one discrete action dominates.
 
-    Reward 1.0 for action 2, 0.2 otherwise; optimum return per episode = 2.
+    Reward 1.0 for grid action 2, 0.2 otherwise; optimum return per episode = 2.
     """
 
     observation_dim = 4
@@ -184,7 +185,7 @@ class ToyBanditEnv:
 
     def step(self, action):
         self._step += 1
-        reward = 1.0 if int(action) == 2 else 0.2
+        reward = 1.0 if action == encode_discrete(2) else 0.2
         return np.zeros(4), reward, self._step >= 2, {}
 
 
@@ -203,8 +204,8 @@ class TestPpoUpdateMechanics:
         diagnostics = []
         for _ in range(agent.cfg.n_steps):
             obs = rng.normal(size=4)
-            action = agent.act(obs, 0.0)
-            diagnostics.append(agent.observe(obs, action, float(rng.normal()), rng.normal(size=4), False))
+            agent.act(obs, 0.0)
+            diagnostics.append(agent.observe(obs, float(rng.normal()), rng.normal(size=4), False))
         # observe() updates exactly once, on the step that fills the rollout.
         assert diagnostics[:-1] == [None] * (agent.cfg.n_steps - 1)
         assert agent.rollout.pos == 0

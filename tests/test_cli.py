@@ -22,7 +22,10 @@ from epictrl.calibration import (
 )
 from epictrl.cli import main, parse_seeds
 from epictrl.config import FullConfig
-from epictrl.simulator import Simulation, counts_from_csv
+from epictrl.interventions import encode_discrete
+from epictrl.simulator import Simulation
+
+from tests.episodes import counts_from_csv
 
 BASE_OVERRIDES = [
     "--set", "population.pop_size=400",
@@ -153,10 +156,10 @@ class TestSimulate:
     ])
     def test_action_rejected_mid_run_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys, command):
         class PastTheGrid:
-            """Grid index 0 in the first week, then 64, one past the grid."""
+            """The Action of grid index 0 in the first week, then the bare grid index 17."""
 
             def select_action(self, observation, day):
-                return 0 if day < 7 else 64
+                return encode_discrete(0) if day < 7 else 17
 
         load_policy = cli.load_policy
         monkeypatch.setattr(cli, "load_policy", lambda spec, cfg: (
@@ -164,7 +167,7 @@ class TestSimulate:
         out = tmp_path / "X"
         code = run_cli(*command, "--out", out, "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
         assert code == 2
-        assert "discrete action index 64" in capsys.readouterr().err
+        assert "step() expects an Action, got int" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_policy_file_is_usage_error(self, tmp_path):
@@ -224,6 +227,22 @@ class TestSimulate:
         out = tmp_path / "X"
         assert run_cli("simulate", "--out", out, *BASE_OVERRIDES, *args) == 2
         assert "EnvConfig.step_days expects an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_list_entry_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        code = run_cli("simulate", "--out", out, *BASE_OVERRIDES,
+                       "--set", "population.sus_odds_ratios=[1,1,1,1,1,1,1,1,x]")
+        assert code == 2
+        assert "PopulationConfig.sus_odds_ratios[8] expects a number, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_economic_scale_is_usage_error(self, tmp_path, capsys):
+        # The default is None, so the field takes None or a number.
+        out = tmp_path / "X"
+        code = run_cli("simulate", "--out", out, *BASE_OVERRIDES, "--set", "rewards.economic_scale=true")
+        assert code == 2
+        assert "RewardWeights.economic_scale expects a number, got True" in capsys.readouterr().err
         assert not out.exists()
 
 

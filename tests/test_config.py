@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             cfg.validate()
 
+    def test_reward_weight_refuses_a_boolean(self):
+        cfg = FullConfig()
+        cfg.rewards.economic_scale = True
+        with pytest.raises(ConfigurationError, match="economic_scale must be a finite number"):
+            cfg.validate()
+
 
 class TestFileRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
@@ -125,6 +131,20 @@ class TestOverrides:
         cfg = FullConfig()
         apply_overrides(cfg, ["population.sus_odds_ratios=[1,1,1,1,1,1,1,1,2]"])
         assert cfg.population.sus_odds_ratios[-1] == 2
+
+    def test_values_are_typed_by_the_declared_default(self):
+        cfg = FullConfig()
+        apply_overrides(cfg, ["population.sus_odds_ratios=[1,1,1,1,1,1,1,1,2]", "ppo.hidden_sizes=[8.0, 4]",
+                              "rewards.economic_scale=50"])
+        assert [type(v) for v in cfg.population.sus_odds_ratios] == [float] * 9
+        assert cfg.ppo.hidden_sizes == (8, 4) and type(cfg.ppo.hidden_sizes[0]) is int
+        assert cfg.rewards.economic_scale == 50.0 and type(cfg.rewards.economic_scale) is float
+        apply_overrides(cfg, ["rewards.economic_scale=null"])
+        assert cfg.rewards.economic_scale is None
+        with pytest.raises(ConfigurationError, match=r"hidden_sizes\[1\] expects an integer"):
+            apply_overrides(cfg, ["ppo.hidden_sizes=[8, 2.5]"])
+        with pytest.raises(ConfigurationError, match="unknown config key PopulationConfig.pop_scale"):
+            apply_overrides(cfg, ["population.pop_scale=2"])
 
     def test_bad_override_forms(self):
         cfg = FullConfig()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from epictrl.config import FullConfig
-from epictrl.env import OBSERVATION_FIELDS, EpidemicEnv, encode_discrete
+from epictrl.env import OBSERVATION_FIELDS, EpidemicEnv
 from epictrl.errors import ActionDomainError, ConfigurationError, ProtocolError
-from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION
+from epictrl.interventions import BETA_LEVELS, CTP_LEVELS, TP_LEVELS, Action, NULL_ACTION, encode_discrete
 from epictrl.env import trace_record, write_trace
 
 
@@ -127,10 +127,13 @@ class TestActionDomains:
         small_cfg.env.action_space_kind = "discrete"
         env = EpidemicEnv(small_cfg)
         env.reset(0)
-        env.step(17)
+        env.step(encode_discrete(17))
         env.step(Action(0.5, 0.25, 0.0))
         # An off-grid Action (a schedule's) applies as given.
         env.step(Action(0.6, 0.25, 0.0))
+        # A bare grid index is not an Action: the agent decodes its own.
+        with pytest.raises(ActionDomainError):
+            env.step(17)
         with pytest.raises(ActionDomainError):
             env.step(64)
         with pytest.raises(ActionDomainError):
@@ -160,7 +163,7 @@ class TestRewardDecomposition:
         small_cfg.env.action_space_kind = "discrete"
         env = EpidemicEnv(small_cfg)
         env.reset(7)
-        _, reward, _, info = env.step(0)
+        _, reward, _, info = env.step(encode_discrete(0))
         assert info["reward_components"]["penalty"] is None
 
     def test_unchanged_action_contributes_zero_penalty(self, small_cfg):

@@ -130,11 +130,11 @@ class TestCombine:
 
     def test_continuous_adds_penalty(self):
         w = RewardWeights(lambda1=1, lambda2=1, lambda3=1)
-        assert combine(3.0, 2.0, w, r_p=-10.0) == pytest.approx(-5.0)
+        assert combine(3.0, 2.0, w) + w.lambda3 * -10.0 == pytest.approx(-5.0)
 
     def test_zero_weights(self):
         w = RewardWeights(lambda1=0, lambda2=0, lambda3=0)
-        assert combine(123.0, -77.0, w, r_p=-10.0) == 0.0
+        assert combine(123.0, -77.0, w) + w.lambda3 * -10.0 == 0.0
 
 
 class TestEconomicLoss:
@@ -272,7 +272,8 @@ def test_oracle_equivalence_1000_tuples():
         r_p = action_penalty(action, prev) if continuous else None
         if continuous:
             assert rel_close(r_p, o_rp)
-        assert rel_close(combine(health_reward(counts, w), r_scaled, w, r_p), o_total)
+        total = combine(health_reward(counts, w), r_scaled, w) + (w.lambda3 * r_p if continuous else 0.0)
+        assert rel_close(total, o_total)
         assert rel_close(economic_loss(r_e, w, pop), o_le)
 
 

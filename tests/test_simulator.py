@@ -27,12 +27,11 @@ from epictrl.simulator import (
     DailyCounts,
     EpiState,
     Simulation,
-    counts_from_csv,
     counts_to_csv,
     seed_infections,
 )
 
-from tests.episodes import constant_policy, ungated_series
+from tests.episodes import constant_policy, counts_from_csv, ungated_series
 from tests.test_population import contact_pairs
 
 # Infected states as a lookup table, kept here so the references below do
