@@ -150,12 +150,12 @@ class TestSimulate:
         assert counts["discrete"] == counts["continuous"]
 
     @pytest.mark.parametrize("command", [
-        ["simulate", "--policy", "past-the-grid"],
-        ["evaluate", "--policy", "past-the-grid", "--seeds", "0"],
-        ["compare", "--policy", "none", "--policy", "past-the-grid", "--seeds", "0"],
+        ["simulate", "--policy", "bare-index"],
+        ["evaluate", "--policy", "bare-index", "--seeds", "0"],
+        ["compare", "--policy", "none", "--policy", "bare-index", "--seeds", "0"],
     ])
     def test_action_rejected_mid_run_leaves_no_output_dir(self, tmp_path, monkeypatch, capsys, command):
-        class PastTheGrid:
+        class BareIndex:
             """The Action of grid index 0 in the first week, then the bare grid index 17."""
 
             def select_action(self, observation, day):
@@ -163,7 +163,7 @@ class TestSimulate:
 
         load_policy = cli.load_policy
         monkeypatch.setattr(cli, "load_policy", lambda spec, cfg: (
-            (PastTheGrid(), []) if spec == "past-the-grid" else load_policy(spec, cfg)))
+            (BareIndex(), []) if spec == "bare-index" else load_policy(spec, cfg)))
         out = tmp_path / "X"
         code = run_cli(*command, "--out", out, "--set", "env.action_space_kind=discrete", *BASE_OVERRIDES)
         assert code == 2
