@@ -79,7 +79,7 @@ def estimate_rt(series: list[DailyCounts], infectious_mean: float) -> RtSeries:
 
 def rt_to_csv(rt: RtSeries, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["day", "rt"])
         for d, v in zip(rt.days, rt.values):
             writer.writerow([d, f"{v:.10g}"])
@@ -140,7 +140,7 @@ def compare_strategies(runs, infectious_mean: float) -> list[dict]:
 
 def report_to_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in REPORT_COLUMNS])

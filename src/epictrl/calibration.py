@@ -266,7 +266,7 @@ def _evaluate_trial(
 
 def trial_log_to_csv(trials: list[Trial], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "pop_infected", "beta_initial", "loss", "replication_losses", "failed"])
         for t in trials:
             writer.writerow([

@@ -9,6 +9,7 @@ quantities use nine ten-year bands: 0-9, 10-19, ..., 70-79, 80+.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -180,7 +181,7 @@ class RewardWeights:
             v = getattr(self, f.name)
             if v is None and f.name == "economic_scale":
                 continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ConfigurationError(f"{f.name} must be a finite number")
 
 
@@ -321,7 +322,7 @@ def _set_field(section: Any, key: str, value: Any) -> None:
 
 
 def _number(value: Any, kind: type, name: str) -> int | float:
-    """value as kind (int or float); a bool, a non-numeric string or, for int, a fraction is refused."""
+    """value as kind (int or float); a bool, a non-numeric string, inf or nan, or for int a fraction, is refused."""
     if isinstance(value, str):
         try:
             value = float(value)  # YAML 1.1 reads an exponent without a dot, such as 5e-05, as a string
@@ -330,6 +331,8 @@ def _number(value: Any, kind: type, name: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ConfigurationError(f"{name} expects {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{name} expects a finite number, got {value!r}")
     return kind(value)
 
 

@@ -6,13 +6,20 @@ means. Each stores its groups, not its edges: every group's ascending
 members laid out twice, and per agent the start and length of its run in
 them, built in one vectorised pass. An agent's contacts are its group's
 ascending members rotated to start just after it, the order a stable sort by
-source of both directions of every ``np.triu_indices`` pair would give. The
-community layer is not built here: each simulated day draws a new
-CommunityDay (see simulator.Simulation), a circulant graph over a random
-relabelling of the agents. Every layer answers "who met these agents" with
-``contacts(ids) -> (counts, dst)``: each id's contact count, and the
-contacts by id and then by edge or offset; a caller that needs sources takes
-``np.repeat(ids, counts)``.
+source of both directions of every ``np.triu_indices`` pair would give.
+
+The community layer is not built here: each simulated day draws a new
+CommunityDay (see simulator.Simulation), a circulant graph laid directly
+over the agent ids, with fresh offsets and, for a fractional contact mean, a
+fresh window of agents under the partial offset. Nothing about an agent
+depends on its id (ages are drawn per id, groups are random partitions,
+seeded agents are uniform), so one day's layer has the law of a circulant
+graph over a random relabelling of the agents, and a run's days that of one
+relabelling for the whole run. A day holds no n-length array.
+
+Every layer answers "who met these agents" with ``contacts(ids) -> (counts,
+dst)``: each id's contact count, and the contacts by id and then by edge or
+offset; a caller that needs sources takes ``np.repeat(ids, counts)``.
 """
 
 from __future__ import annotations
@@ -104,73 +111,55 @@ def community_offsets(n: int, contacts: float) -> tuple[int, int]:
 
 @dataclass
 class CommunityDay:
-    """One day's community contacts: a circulant graph on relabelled agents.
+    """One day's community contacts: a circulant graph on the agents' own ids.
 
-    Agent ``agent_at[p]`` sits at slot p, and ``slot_of`` is the inverse
-    permutation. Each full offset o joins every slot p to (p + o) mod n;
-    the partial offset joins only the slots p < ``partial_edges``. The
-    relation is symmetric, has no self-contacts and no repeated pair, and
-    at an even integer contact mean every agent has exactly that many
-    contacts.
+    Each full offset o joins every agent i to (i + o) mod n; the partial
+    offset does so only for the ``partial_edges`` agents from ``start`` on,
+    wrapping round. The relation is symmetric, has no self-contacts and no
+    repeated pair, and at an even integer contact mean every agent has
+    exactly that many contacts. The window moves every day, so no fixed
+    agents get the extra contact.
     """
 
-    agent_at: np.ndarray  # slot -> agent
-    slot_of: np.ndarray   # agent -> slot
+    n: int                # agents
     offsets: np.ndarray   # full offsets, then the partial one if any
     partial_edges: int    # edges of the partial offset; 0 when there is none
+    start: int            # first agent of the partial offset's window
 
     @classmethod
-    def sample(
-        cls,
-        slots: np.ndarray,
-        full: int,
-        partial: int,
-        rng: np.random.Generator,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> "CommunityDay":
-        """Draw the relabelling, then the offsets, as sized by community_offsets.
-
-        ``slots`` is ``np.arange(n)`` for n agents. A caller that draws a day
-        at a time keeps one: allocating it anew costs about a third of the
-        inverse permutation at 100k agents. The relabelling is a shuffled
-        copy of ``slots``, which makes exactly the draws of
-        ``rng.permutation(n)``. It and its inverse are written into ``out``,
-        an (agent_at, slot_of) pair of n-length int64 arrays, when one is
-        given, and into new arrays otherwise.
-        """
-        n = len(slots)
-        agent_at, slot_of = out if out is not None else (np.empty(n, np.int64), np.empty(n, np.int64))
-        agent_at[:] = slots
-        rng.shuffle(agent_at)
-        slot_of[agent_at] = slots
+    def sample(cls, n: int, full: int, partial: int, rng: np.random.Generator) -> "CommunityDay":
+        """Draw the offsets, as sized by community_offsets, then the partial offset's window start if any."""
         offsets = rng.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
-        return cls(agent_at, slot_of, offsets, partial)
+        start = int(rng.integers(n)) if partial else 0
+        return cls(n, offsets, partial, start)
 
     def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(counts, dst): the int64 contact count of each of ``ids``, and the contacts, by id and then offset.
 
-        Each offset gives its forward contact (slot + o), then its backward
-        one (slot - o); under the partial offset only those whose lower slot
-        is below ``partial_edges`` exist. Repeated ids give their contacts
-        again.
+        Each offset gives its forward contact (id + o), then its backward
+        one (id - o); under the partial offset only those whose lower end
+        (the one the offset steps forward from) lies in the window exist.
+        Repeated ids give their contacts again.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        n = len(self.agent_at)
+        n = self.n
         # Columns: +o1, -o1, +o2, -o2, ... per id. A step forward by o is a
-        # step by o - n, so every slot + step lies in [-n, n) and numpy's
-        # negative indexing does the wrap.
+        # step by o - n, so every id + step lies in [-n, n), and adding n
+        # where the sign bit is set wraps it (a third of the time of np.mod).
         steps = np.repeat(self.offsets, 2)
         steps[0::2] -= n
         steps[1::2] *= -1
-        slots = self.slot_of[ids]
-        nbr = slots[:, None] + steps
+        nbr = ids[:, None] + steps
+        wrap = nbr >> 63
+        wrap &= n
+        nbr += wrap
         if not self.partial_edges:
-            return np.full(len(ids), len(steps), dtype=np.int64), self.agent_at[nbr.ravel()]
-        m = self.partial_edges
+            return np.full(len(ids), len(steps), dtype=np.int64), nbr.ravel()
+        m, start = self.partial_edges, self.start
         exists = np.ones(nbr.shape, dtype=bool)
-        exists[:, -2] = slots < m
-        exists[:, -1] = nbr[:, -1] % n < m  # the backward contact's own slot
-        return len(steps) - 2 + exists[:, -2] + exists[:, -1], self.agent_at[nbr[exists]]
+        exists[:, -2] = (ids - start) % n < m
+        exists[:, -1] = (nbr[:, -1] - start) % n < m  # the backward contact steps forward to the id
+        return len(steps) - 2 + exists[:, -2] + exists[:, -1], nbr[exists]
 
 
 @dataclass

@@ -10,11 +10,11 @@ agent advances (drawing symptom/severity/fatality outcomes at the moment
 they are needed). Only the three infectious states transmit; DEAD and
 RECOVERED are absorbing. Transmission runs over four contact layers:
 household/school/work cliques (static per run) and a community layer drawn
-anew every day as a circulant graph over a random relabelling of the agents
-(population.CommunityDay). Every layer answers contacts(ids) with each
-id's contact count and the contacts, and transmission and tracing ask it
-only for the agents they concern, so a day's cost follows the epidemic
-rather than the number of community pairs.
+anew at the start of every day as a circulant graph over the agent ids, with
+fresh offsets (population.CommunityDay). Every layer answers contacts(ids)
+with each id's contact count and the contacts, and transmission and tracing
+ask it only for the agents they concern, so a day's cost follows the
+epidemic rather than the number of community pairs.
 
 A day's transmission is one pass over all layers at once: every (infectious
 source, susceptible target) contact is a candidate, its infection
@@ -26,30 +26,18 @@ The table holds the same float64 products a per-candidate computation would
 make, in the same order, and is rebuilt only when the lockdown level changes.
 
 Everything stochastic draws from named substreams of a single master seed
-in a fixed order, which makes whole runs bit-reproducible.
-
-The community stream runs one day ahead. It is read only by
-CommunityDay.sample and does not depend on the policy, so from
-PIPELINE_MIN_AGENTS agents one worker thread, shared by every Simulation
-in the process, draws tomorrow's layer while today runs (numpy's shuffle
-releases the GIL). Days are still drawn one at a time and in order, from
-the same stream, so every draw and count is that of drawing inline. Below
-the threshold, handing a draw to another thread costs more than the draw,
-and each day draws its layer inline at its start. On a 2-vCPU machine this
-takes a 133-day mixed-action episode from about 1.0 s to 0.73 s at 100k
-agents, and from about 12 s to 8 s at 1M agents (README, BENCH_12.json).
+in a fixed order, which makes whole runs bit-reproducible. The community
+stream gives each day its offsets and, for a fractional contact mean, the
+start of the partial offset's window: a handful of draws, whatever the
+number of agents.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import os
-import threading
-import weakref
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,9 +47,6 @@ from .errors import ConfigurationError
 from .interventions import Action
 from .population import LAYER_NAMES, CommunityDay, Population, community_offsets, synthesize_population
 from .rng import all_substreams
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -96,59 +81,6 @@ def _infectious(states: np.ndarray) -> np.ndarray:
 TRANSMISSION_LAYERS = LAYER_NAMES + ("community",)
 TARGET_KEYS = 2 * N_AGE_BANDS
 LAYER_STRIDE = 8 * TARGET_KEYS
-
-
-# Agents from which the next day's community layer is drawn on the worker
-# thread. On a 2-vCPU machine drawing there lost at 10k agents, was within
-# run-to-run noise at 20k and 30k, and won every run from 50k
-# (tools/pipeline_crossover.py; CHANGES.md has the table).
-PIPELINE_MIN_AGENTS = 50_000
-
-_community_worker: ThreadPoolExecutor | None = None
-_community_worker_lock = threading.Lock()
-_last_draw: weakref.ref[Future] | None = None  # the draw queued most recently
-
-
-def _submit_draw(*args) -> Future:
-    """Queue CommunityDay.sample(*args) on the worker thread, started on first use.
-
-    concurrent.futures is imported here rather than with the module, so a
-    run below the threshold loads nothing it does not use (the import adds
-    about 0.6 MiB to a process's peak RSS).
-    """
-    global _community_worker, _last_draw
-    with _community_worker_lock:
-        if _community_worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _community_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="epictrl-community")
-        future = _community_worker.submit(CommunityDay.sample, *args)
-        _last_draw = weakref.ref(future)
-        return future
-
-
-def _finish_draws() -> None:
-    """Wait for the draws in flight, so a fork copies no half-drawn day.
-
-    The worker runs draws in the order they were queued, so all are done
-    once the last one queued is; a future nothing holds any more is done.
-    This takes no lock and queues nothing: concurrent.futures' own at-fork
-    hook may already hold the lock that submitting takes.
-    """
-    last = _last_draw() if _last_draw is not None else None
-    if last is not None:
-        last.exception()  # waits; a failed draw is raised by its step_day
-
-
-def _forget_worker() -> None:
-    """A forked child has no copy of the worker thread: start a new one when needed."""
-    global _community_worker, _community_worker_lock, _last_draw
-    _community_worker = _last_draw = None
-    _community_worker_lock = threading.Lock()  # another thread may have held it at the fork
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_finish_draws, after_in_child=_forget_worker)
 
 
 @dataclass
@@ -213,7 +145,7 @@ COUNT_FIELDS = tuple(f.name for f in fields(DailyCounts))
 def counts_to_csv(series: list[DailyCounts], path: str) -> None:
     """Write one row per day with columns exactly matching the field names."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COUNT_FIELDS)
         for c in series:
             writer.writerow([getattr(c, name) for name in COUNT_FIELDS])
@@ -281,19 +213,16 @@ class Simulation:
         self._inf_mu, self._inf_sigma = _lognormal_params(disease_cfg.infectious_mean, disease_cfg.infectious_sd)
 
         self._community_shape = community_offsets(pop_cfg.pop_size, pop_cfg.contacts_c)
-        self._slots = np.arange(pop_cfg.pop_size)
         self.pop: Population = synthesize_population(pop_cfg, self.streams["population"])
         self.state = AgentState.fresh(pop_cfg.pop_size)
         self.day = 0
         self.seeded_ids = seed_infections(self.state, pop_cfg, self.streams["seeding"])
         self._schedule_latent(self.seeded_ids, 0)
 
-        # Community contacts: today's are drawn at the start of each day, or
-        # while the day before runs (see _prefetch_community); yesterday's
-        # are kept for contact tracing.
+        # Community contacts: today's are drawn at the start of each day;
+        # yesterday's are kept for contact tracing.
         self.community: CommunityDay | None = None
         self.prev_community: CommunityDay | None = None
-        self._next_community: Future | None = None
 
         # Cumulative counters.
         self.cum_tests = 0
@@ -304,12 +233,6 @@ class Simulation:
         # was built for.
         self._p_table_beta: float | None = None
         self._p_table = np.empty(0)
-
-        if pop_cfg.pop_size >= PIPELINE_MIN_AGENTS:
-            n = pop_cfg.pop_size
-            # (agent_at, slot_of) of yesterday, today and tomorrow, in turn.
-            self._community_buffers = [(np.empty(n, np.int64), np.empty(n, np.int64)) for _ in range(3)]
-            self._prefetch_community()
 
     # -- duration draws -------------------------------------------------
 
@@ -336,11 +259,7 @@ class Simulation:
 
         # Rotate the community layer: keep yesterday's for tracing.
         self.prev_community = self.community
-        if self._next_community is None:
-            self.community = CommunityDay.sample(self._slots, *self._community_shape, self.streams["community"])
-        else:
-            self.community = self._next_community.result()
-            self._prefetch_community()
+        self.community = CommunityDay.sample(self.pop_cfg.pop_size, *self._community_shape, self.streams["community"])
 
         new_exposed = self._transmit(action.ch_beta)
         new_severe, new_deaths, new_recovered = self._progress()
@@ -367,19 +286,6 @@ class Simulation:
         )
         self.day += 1
         return counts
-
-    def _prefetch_community(self) -> None:
-        """Start drawing the next day's community layer on the worker thread.
-
-        Only the worker draws from the community stream, and a draw is
-        submitted only once the day before has been taken, so days are drawn
-        one at a time and in order. Each draw goes into the buffer pair used
-        longest ago, the one of the day before yesterday, which neither
-        today's nor yesterday's layer uses.
-        """
-        buffers = self._community_buffers.pop(0)
-        self._community_buffers.append(buffers)
-        self._next_community = _submit_draw(self._slots, *self._community_shape, self.streams["community"], buffers)
 
     def _transmit(self, ch_beta: float) -> np.ndarray:
         """One transmission sweep with state frozen at the start of the day.

@@ -129,16 +129,20 @@ class TestSearch:
         assert result.best.loss == incumbents[-1]
 
     def test_widening_a_range_containing_the_optimum_not_worse_in_expectation(self):
+        # The expectation is over synthetic targets as well as search seeds:
+        # whether the wide range wins on one target depends on that target's
+        # draw, so the best losses are averaged over twelve fixed targets.
         cfg, days = cheap_setup()
-        observed = synthetic_observed(cfg, days)
         narrow_best, wide_best = [], []
-        for seed in (1, 2, 3, 4):
-            spec_n = CalibrationSpec(pop_infected_range=(4, 16), beta_range=(0.05, 0.12),
-                                     trials=10, replications=1, seed=seed)
-            spec_w = CalibrationSpec(pop_infected_range=(2, 64), beta_range=(0.01, 0.3),
-                                     trials=10, replications=1, seed=seed)
-            narrow_best.append(search(spec_n, observed, cfg).best.loss)
-            wide_best.append(search(spec_w, observed, cfg).best.loss)
+        for target in range(100, 112):
+            observed = synthetic_observed(cfg, days, seed=target)
+            for seed in (1, 2, 3, 4):
+                spec_n = CalibrationSpec(pop_infected_range=(4, 16), beta_range=(0.05, 0.12),
+                                         trials=10, replications=1, seed=seed)
+                spec_w = CalibrationSpec(pop_infected_range=(2, 64), beta_range=(0.01, 0.3),
+                                         trials=10, replications=1, seed=seed)
+                narrow_best.append(search(spec_n, observed, cfg).best.loss)
+                wide_best.append(search(spec_w, observed, cfg).best.loss)
         # Paired-seed expectation: generous slack absorbs sampling noise.
         assert np.mean(wide_best) <= np.mean(narrow_best) + 0.5
 

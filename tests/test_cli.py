@@ -122,11 +122,12 @@ class TestSimulate:
         assert code == 0
 
     def test_no_intervention_daily_counts_fingerprint(self, tmp_path):
-        # SHA-256 of the file, recorded when the community layer became a circulant graph.
+        # SHA-256 of the file, recorded when the circulant community layer
+        # moved onto the agents' own ids and CSV lines to LF endings.
         out = tmp_path / "run"
         assert run_cli("simulate", "--out", out, "--seed", 3, *BASE_OVERRIDES) == 0
         digest = hashlib.sha256((out / "daily_counts.csv").read_bytes()).hexdigest()
-        assert digest == "87490d1618a0d71fde60be251fb738d9b189c245024ef1dbc930db0d97ceb819"
+        assert digest == "6f2ee9fc6e137ed3fa46e0bb1416f88972616b9793b4deba470b5577cdf325c7"
 
     @pytest.mark.parametrize("policy", ["none", "schedule:7w7l", "schedule:uk-approx"])
     def test_simulate_and_evaluate_write_the_same_series(self, tmp_path, policy):
@@ -235,6 +236,20 @@ class TestSimulate:
                        "--set", "population.sus_odds_ratios=[1,1,1,1,1,1,1,1,x]")
         assert code == 2
         assert "PopulationConfig.sus_odds_ratios[8] expects a number, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ("rewards.omega1=.inf", "RewardWeights.omega1 expects a finite number, got inf"),
+        ("population.contacts_c=nan", "PopulationConfig.contacts_c expects a finite number, got nan"),
+        ("population.sus_odds_ratios=[1,1,1,1,1,1,1,1,.inf]",
+         "PopulationConfig.sus_odds_ratios[8] expects a finite number, got inf"),
+    ], ids=["inf", "nan", "inf-list-entry"])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, override, message):
+        out = tmp_path / "X"
+        code = run_cli("evaluate", "--out", out, "--policy", "none", "--seeds", "0", *BASE_OVERRIDES,
+                       "--set", override)
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_boolean_economic_scale_is_usage_error(self, tmp_path, capsys):
@@ -443,6 +458,26 @@ class TestEvaluateAndCompare:
                        "--policy", "checkpoint:/missing.json", "--seeds", "1")
         assert code == 2
         assert "/missing.json" in capsys.readouterr().err
+
+
+CSV_RUNS = {
+    "simulate": ["simulate", "--policy", "schedule:7w7l"],
+    "evaluate": ["evaluate", "--policy", "schedule:7w7l", "--seeds", "1,2"],
+    "compare": ["compare", "--policy", "none", "--policy", "schedule:uk-approx", "--seeds", "1,2"],
+    "calibrate": ["calibrate", "--trials", 2, "--replications", 1,
+                  "--pop-infected-range", "4,20", "--beta-range", "0.02,0.2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_RUNS))
+def test_output_csvs_end_lines_with_lf_only(tmp_path, command):
+    args = CSV_RUNS[command] + (["--data", write_observed(tmp_path)] if command == "calibrate" else [])
+    out = tmp_path / "out"
+    assert run_cli(*args, "--out", out, *BASE_OVERRIDES) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert written
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.relative_to(out)
 
 
 REMOVED_KEYS = ["interventions.trace_community=true", "env.observation_normalization=true",

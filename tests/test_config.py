@@ -84,6 +84,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="economic_scale must be a finite number"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_reward_weight_refuses_a_non_finite_number(self, value):
+        cfg = FullConfig()
+        cfg.rewards.omega1 = value
+        with pytest.raises(ConfigurationError, match="omega1 must be a finite number"):
+            cfg.validate()
+
 
 class TestFileRoundTrip:
     def test_save_load_round_trip(self, tmp_path):

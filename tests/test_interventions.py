@@ -212,19 +212,17 @@ class TestTracing:
     def test_community_contacts_traced_from_both_pair_directions(self):
         sim = make_sim(pop_size=200, seed=3)
         diagnosed = np.array([3, 17])
-        # Slot p holds agent 7p mod 200. Offset 10 is full; offset 3 joins
-        # only slots p < 30 to p + 3. Agent 3 (slot 29) has both its offset-3
-        # contacts, agent 17 (slot 31) only the one at slot 28.
-        agent_at = np.arange(200) * 7 % 200
-        slot_of = np.empty(200, dtype=np.int64)
-        slot_of[agent_at] = np.arange(200)
-        sim.prev_community = CommunityDay(agent_at, slot_of, np.array([10, 3]), partial_edges=30)
+        # Offset 10 is full; offset 3 joins only the 30 agents from 185 on,
+        # wrapping round to agent 14, each to the agent 3 after it. Agent 3
+        # has both its offset-3 contacts (6 and 0), agent 17 only the one
+        # at 14: 17 lies past the window, whose last agent 14 reaches it.
+        sim.prev_community = CommunityDay(200, np.array([10, 3]), partial_edges=30, start=185)
         u, v, _ = community_edges(sim.prev_community)
         community = set()
         for agent in diagnosed:
             assert (u == agent).any() and (v == agent).any()
             community |= set(v[u == agent].tolist()) | set(u[v == agent].tolist())
-        assert community == {73, 133, 24, 182} | {87, 147, 196}
+        assert community == {13, 193, 6, 0} | {27, 7, 14}
         expected = set(community)
         for layer in sim.pop.layers.values():
             for agent in diagnosed:
@@ -236,7 +234,7 @@ class TestTracing:
     def test_tracing_matches_brute_force_reference(self):
         sim = make_sim(pop_size=300, seed=4)
         rng = np.random.default_rng(11)
-        sim.prev_community = CommunityDay.sample(np.arange(300), *community_offsets(300, 7.3), rng)
+        sim.prev_community = CommunityDay.sample(300, *community_offsets(300, 7.3), rng)
         assert sim.prev_community.partial_edges
         diagnosed = np.sort(rng.choice(300, size=12, replace=False))
 

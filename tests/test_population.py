@@ -224,22 +224,28 @@ def test_clique_contacts_of_any_ids_equal_reference_rows(pop_size):
 
 
 def community_day(n, contacts, seed=0) -> CommunityDay:
-    return CommunityDay.sample(np.arange(n), *community_offsets(n, contacts), np.random.default_rng(seed))
+    return CommunityDay.sample(n, *community_offsets(n, contacts), np.random.default_rng(seed))
+
+
+# 600 agents, two full offsets and a partial one whose window of 100 agents
+# starts at 550 and wraps past agent 599 to agent 49.
+WRAPPING_DAY = CommunityDay(600, np.array([17, 250, 5]), partial_edges=100, start=550)
 
 
 def community_edges(day: CommunityDay):
     """The day's full edge list as (lower end, upper end, offset index), offset by offset.
 
-    Offset o joins slot p to slot (p + o) mod n for every p, or for p below
-    partial_edges when o is the partial (last) offset.
+    Offset o joins agent i to agent (i + o) mod n for every i, or, when o is
+    the partial (last) offset, for the partial_edges agents from start on.
     """
-    n = len(day.agent_at)
+    n = day.n
     us, vs, js = [], [], []
     for j, o in enumerate(day.offsets.tolist()):
         partial = day.partial_edges and j == len(day.offsets) - 1
-        for p in range(day.partial_edges if partial else n):
-            us.append(day.agent_at[p])
-            vs.append(day.agent_at[(p + o) % n])
+        lower = [(day.start + k) % n for k in range(day.partial_edges)] if partial else range(n)
+        for i in lower:
+            us.append(i)
+            vs.append((i + o) % n)
             js.append(j)
     return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(js, dtype=np.int64)
 
@@ -270,24 +276,36 @@ def test_community_offsets_distinct_and_below_half():
     offsets = day.offsets.tolist()
     assert len(set(offsets)) == len(offsets) == 10
     assert all(1 <= o <= 499 for o in offsets)
-    np.testing.assert_array_equal(day.agent_at[day.slot_of], np.arange(1000))
     for seed in range(10):  # at n = 10 four offsets take all of 1..4, never n / 2 = 5
         assert sorted(community_day(10, 8.0, seed).offsets.tolist()) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("n,contacts", [(1000, 7.3), (1000, 0.5), (101, 3.99)])
+@pytest.mark.parametrize("n,contacts", [(1000, 7.3), (1000, 0.5), (101, 3.99), (600, "wrapping")])
 def test_fractional_community_mean_gives_rounded_pair_count(n, contacts):
-    day = community_day(n, contacts)
+    if contacts == "wrapping":
+        day, pair_count = WRAPPING_DAY, 2 * 600 + 100
+    else:
+        day, pair_count = community_day(n, contacts), round(n * contacts / 2)
     u, v, _ = community_edges(day)
-    assert len(u) == round(n * contacts / 2)
+    assert len(u) == pair_count
     src, dst = contact_pairs(day, np.arange(n))
     assert len(src) == 2 * len(u)
+    assert not (src == dst).any()
     assert set(zip(src.tolist(), dst.tolist())) == set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
+    # Exactly the window's agents and those the partial offset reaches from it have the extra contact.
+    full_degree = 2 * (len(day.offsets) - 1)
+    extra = np.bincount(src, minlength=n) - full_degree
+    assert set(extra.tolist()) <= {0, 1, 2}
+    o = int(day.offsets[-1])
+    window = (day.start + np.arange(day.partial_edges)) % n
+    expected = np.bincount(window, minlength=n) + np.bincount((window + o) % n, minlength=n)
+    np.testing.assert_array_equal(extra, expected)
 
 
 @pytest.mark.parametrize("layer_name,contacts_c", [
     ("household", None), ("school", None), ("work", None), ("community", 20.0), ("community", 7.3),
-], ids=["household", "school", "work", "community-20", "community-7.3"])
+    ("community", "wrapping"),
+], ids=["household", "school", "work", "community-20", "community-7.3", "community-wrapping"])
 def test_contacts_match_edge_list_scan(layer_name, contacts_c):
     """Every layer's contacts(ids), pair by pair and in order, against a scan of its full edge list."""
     n = 600
@@ -298,7 +316,7 @@ def test_contacts_match_edge_list_scan(layer_name, contacts_c):
         def scan(i):
             return layer.dst[layer.src == i]
     else:
-        layer = community_day(n, contacts_c, seed=5)
+        layer = WRAPPING_DAY if contacts_c == "wrapping" else community_day(n, contacts_c, seed=5)
         edges = community_edges(layer)
 
         def scan(i):
@@ -316,8 +334,11 @@ def test_contacts_match_edge_list_scan(layer_name, contacts_c):
         np.concatenate([not_in_school, [11], not_working, [11]]),
     ]
     if contacts_c is not None:
-        cut = layer.partial_edges
-        id_sets.append(layer.agent_at[[0, cut - 1, cut, n - 1]])  # either side of the partial cut
+        # Either side of each end of the partial offset's window, and of
+        # where that offset reaches from it, and both ends of the ids.
+        first, last, o = layer.start, layer.start + layer.partial_edges - 1, int(layer.offsets[-1])
+        ends = np.array([first - 1, first, last, last + 1])
+        id_sets.append(np.concatenate([ends, ends + o, [0, n - 1]]) % n)
     for ids in id_sets:
         src, dst = contact_pairs(layer, ids)
         rows = [scan(i) for i in ids]
@@ -330,23 +351,17 @@ def test_contacts_match_edge_list_scan(layer_name, contacts_c):
 
 
 @pytest.mark.parametrize("n,contacts", [(1000, 20.0), (1000, 7.3), (9, 8.0)])
-def test_sample_into_buffers_draws_a_permutation_then_the_offsets(n, contacts):
+def test_sample_draws_the_offsets_then_the_window_start(n, contacts):
+    """The offsets are one choice draw; only a partial offset adds one integers(n) draw for its window."""
     full, partial = community_offsets(n, contacts)
     reference, rng = np.random.default_rng(11), np.random.default_rng(11)
-    agent_at = reference.permutation(n)
     offsets = reference.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
-    out = (np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
-    day = CommunityDay.sample(np.arange(n), full, partial, rng, out)
-    assert day.agent_at is out[0] and day.slot_of is out[1]
-    np.testing.assert_array_equal(day.agent_at, agent_at)
-    np.testing.assert_array_equal(day.slot_of[agent_at], np.arange(n))
+    start = int(reference.integers(n)) if partial else 0
+    day = CommunityDay.sample(n, full, partial, rng)
+    assert (day.n, day.partial_edges, day.start) == (n, partial, start)
     np.testing.assert_array_equal(day.offsets, offsets)
-    assert day.partial_edges == partial
     assert rng.bit_generator.state == reference.bit_generator.state
-    # Without buffers the day is the same, in new arrays.
-    again = CommunityDay.sample(np.arange(n), full, partial, np.random.default_rng(11))
-    np.testing.assert_array_equal(again.agent_at, agent_at)
-    np.testing.assert_array_equal(again.slot_of, day.slot_of)
+    assert bool(partial) == (contacts == 7.3)
 
 
 def test_too_many_community_offsets_rejected():
