@@ -24,11 +24,13 @@ import hashlib
 import io
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation
+from epictrl import Action, EpidemicEnv, FullConfig, NULL_ACTION, Simulation, simulator
 from epictrl.agents import train
 from epictrl.baselines import seven_work_seven_lockdown, uk_approximation_schedule
 from epictrl.calibration import CalibrationSpec, search
@@ -135,6 +137,88 @@ def test_series_fingerprint_at_100k():
     assert value == HUNDRED_K_FINGERPRINT
 
 
+@dataclass
+class PermutedCommunityDay:
+    """The community layer as it was before it was laid on the agents' own ids.
+
+    Each day draws a relabelling (``rng.permutation(n)``), then the offsets;
+    each full offset o joins every slot p to (p + o) mod n, and the partial
+    offset joins only the slots p < ``partial_edges``. It answers
+    ``contacts(ids)`` in the order population.CommunityDay does.
+    """
+
+    agent_at: np.ndarray  # slot -> agent
+    slot_of: np.ndarray   # agent -> slot
+    offsets: np.ndarray
+    partial_edges: int
+
+    @classmethod
+    def sample(cls, n: int, full: int, partial: int, rng: np.random.Generator) -> "PermutedCommunityDay":
+        agent_at = rng.permutation(n)
+        slot_of = np.empty(n, np.int64)
+        slot_of[agent_at] = np.arange(n)
+        offsets = rng.choice((n - 1) // 2, size=full + (partial > 0), replace=False) + 1
+        return cls(agent_at, slot_of, offsets, partial)
+
+    def contacts(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ids = np.asarray(ids, dtype=np.int64)
+        n = len(self.agent_at)
+        steps = np.repeat(self.offsets, 2)
+        steps[0::2] -= n
+        steps[1::2] *= -1
+        slots = self.slot_of[ids]
+        nbr = slots[:, None] + steps  # in [-n, n): negative indexing wraps
+        if not self.partial_edges:
+            return np.full(len(ids), len(steps), dtype=np.int64), self.agent_at[nbr.ravel()]
+        m = self.partial_edges
+        exists = np.ones(nbr.shape, dtype=bool)
+        exists[:, -2] = slots < m
+        exists[:, -1] = nbr[:, -1] % n < m
+        return len(steps) - 2 + exists[:, -2] + exists[:, -1], self.agent_at[nbr[exists]]
+
+
+# The series and training cases of the code whose community layer was a
+# circulant graph over a fresh relabelling of the agents each day, drawn a
+# day ahead on a worker thread (hence the names). Run with that layer in
+# place of population.CommunityDay, the code reproduces their digests bit
+# for bit: laying the layer on the agents' own ids changed nothing else.
+PERMUTED_FINGERPRINTS = {
+    (2000, 10, "mixed", 0): "6ca2416b25c55d6fafd3beee40c7f6a9880fc0e888a04832700bdfb57ed0e6a2",
+    (2000, 10, "mixed", 1): "eea9d3dd09525e07133f6d824ec87bd9678e0ae181e5f1d0ffb59b9700f571bd",
+    (2000, 10, "mixed", 3): "e04b7ba6b0f9c89ab16b89f3b47f0b860f2bb813aee1f497823ad15f5a91176b",
+    (2000, 10, "null", 0): "6fcd9561654655cf0f76d14406c3c4824e2ca1e7f58d4bdb5eadaee69f99a2bd",
+    (2000, 10, "null", 1): "fc343801620885dae0684c567d18263ef6a5037a8fb8b02559de4271de72d36f",
+    (2000, 10, "null", 2): "acfe5c0a851719bc05725fbeeb2099cca821670cb3c91d34bfd7c67828e5926a",
+    (2000, 10, "trace-heavy", 1): "96825b717d3a49bdbd57877f95a356a544836a65bcd007e74011bac3eb5c8f3f",
+    (2000, 10, "trace-heavy", 3): "8b1bdf81dae089ff973efe93fe2a8e2636b78d27fb7ddaf7ed380e8ce13d45e7",
+    (10000, 50, "mixed", 0): "3bce691add8a7d711ce340e8cd5383d55b4ea257a6d8428c71cc6f6768b8e449",
+    (10000, 50, "mixed", 1): "db0613e6f60572146e5509cb2231d196fc53a77a52c4f7e60dd12d0046ecaa3d",
+    (10000, 50, "mixed", 2): "d39c788ac48ab0abd9dd0a2aa2fe3fc45dc955d8117f1b6f8de3470483ce8afb",
+    (10000, 50, "null", 0): "74f2e0fbc6a0adfb1bd335d6d5e845cf2e3b7ee269c3ae9c50b88843863c6346",
+    (10000, 50, "null", 1): "2147d1d36728d9091c7c39cb15fc0e3b29120c1f9bcc166be62ee6c3dd912c5a",
+    (10000, 50, "null", 2): "ba3c452f4a4676496d3a7483f2d7ce11ab5a70169698e8f9a68d5523f4d07f80",
+}
+
+PERMUTED_COMMUNITY_FINGERPRINTS = {
+    (7.3, "mixed", 1): "175e01872af845edaa6e120577821e5bf3cf0ead7943c940b24323f3c30d5f44",
+    (7.3, "null", 0): "fb27f9707bb18b8702f852be09961b4f878cd6a694f02e19a91683d29cdd163e",
+    (7.3, "null", 1): "e69d4803e82e0d8ab165348b6352427faa854a276a5ed2b5f25194e6b3153cae",
+}
+
+PIPELINED_CASES = [(*key, None, PERMUTED_FINGERPRINTS[key]) for key in sorted(PERMUTED_FINGERPRINTS)] + [
+    (2000, 10, action, seed, contacts_c, PERMUTED_COMMUNITY_FINGERPRINTS[(contacts_c, action, seed)])
+    for contacts_c, action, seed in sorted(PERMUTED_COMMUNITY_FINGERPRINTS)
+]
+
+
+@pytest.mark.parametrize("agents,seeded,action,seed,contacts_c,expected", PIPELINED_CASES)
+def test_series_fingerprint_pipelined(monkeypatch, agents, seeded, action, seed, contacts_c, expected):
+    monkeypatch.setattr(simulator, "CommunityDay", PermutedCommunityDay)
+    infected, value = series_run(agents, seeded, action, seed, contacts_c)
+    assert infected > INFECTED_FLOOR[action] * agents, "the epidemic did not take off"
+    assert value == expected
+
+
 SCHEDULES = {"7w7l": seven_work_seven_lockdown, "uk-approx": uk_approximation_schedule}
 
 # 2k agents, ten seeded, the schedule applied from day 0 (no gating).
@@ -206,6 +290,19 @@ def test_training_curve_fingerprint(kind, space):
 @pytest.mark.parametrize("kind,space", sorted(CHECKPOINT_FINGERPRINTS))
 def test_training_checkpoint_fingerprint(kind, space):
     assert training_digests(kind, space)[1] == CHECKPOINT_FINGERPRINTS[(kind, space)]
+
+
+# The ("ppo", "continuous") return curve and checkpoint digests under
+# PermutedCommunityDay, as for PIPELINED_CASES.
+PERMUTED_TRAINING_FINGERPRINTS = (
+    "d3cddc6fd44bc49cec03c799920c3b622474aacd601d0f92fdfca5fbec9e898e",
+    "178f317d7d65909bdc76bf485aa5ac9c18e9e417c2015483b2b0d9ffb335e62e",
+)
+
+
+def test_training_fingerprints_pipelined(monkeypatch):
+    monkeypatch.setattr(simulator, "CommunityDay", PermutedCommunityDay)
+    assert training_digests("ppo", "continuous") == PERMUTED_TRAINING_FINGERPRINTS
 
 
 SEARCH_FINGERPRINT = "696451eb8edd81486f2521138d41eb0668d1a7e227c29740da0f342f8f1e2018"
@@ -337,6 +434,14 @@ def print_current_digests() -> None:
     print(_table("COMMUNITY_FINGERPRINTS",
                  [(key, series_run(2000, 10, key[1], key[2], key[0])[1]) for key in sorted(COMMUNITY_FINGERPRINTS)]))
     print(f'HUNDRED_K_DAYS, HUNDRED_K_FINGERPRINT = {HUNDRED_K_DAYS}, "{hundred_k_run()[2]}"')
+    community_day, simulator.CommunityDay = simulator.CommunityDay, PermutedCommunityDay
+    try:
+        print(_table("PERMUTED_FINGERPRINTS", [(key, series_run(*key)[1]) for key in sorted(PERMUTED_FINGERPRINTS)]))
+        print(_table("PERMUTED_COMMUNITY_FINGERPRINTS", [(key, series_run(2000, 10, key[1], key[2], key[0])[1])
+                                                          for key in sorted(PERMUTED_COMMUNITY_FINGERPRINTS)]))
+        print(f"PERMUTED_TRAINING_FINGERPRINTS = {training_digests('ppo', 'continuous')!r}".replace("'", '"'))
+    finally:
+        simulator.CommunityDay = community_day
     print(_table("SCHEDULE_FINGERPRINTS", [(key, schedule_digest(*key)) for key in sorted(SCHEDULE_FINGERPRINTS)]))
     infections, value = gated_run()
     print(f'GATED_INFECTIONS, GATED_FINGERPRINT = {infections}, "{value}"')

@@ -107,7 +107,11 @@ class TestCommunityLayer:
             starts.append(sim.community.start)
         assert all(a != b for a, b in zip(starts, starts[1:]))
 
-    def test_no_thread_at_any_size(self):
+
+class TestCommunityPipeline:
+    """No thread draws the community layer ahead: each day draws it inline."""
+
+    def test_no_thread_on_import_or_below_the_threshold(self):
         run_python(
             "import threading\n"
             "import epictrl\n"
