@@ -33,12 +33,11 @@ while not done:
     step += 1
     total += reward
     a = info["applied_action"]
-    comps = info["reward_components"]
     print(f"{step:>4} {info['day']:>4} "
           f"({a.ch_beta:.2f},{a.ch_tp:.2f},{a.ch_ctp:.2f})".rjust(28)[:28] +
           f" {str(info['activated']):>9} {reward:>9.1f} "
-          f"{sum(comps['r_h_daily']):>9.1f} {sum(comps['r_e_scaled_daily']):>9.1f} "
-          f"{comps['penalty']:>8.1f}")
+          f"{sum(r.r_h for r in info['rewards']):>9.1f} "
+          f"{sum(r.r_e_scaled for r in info['rewards']):>9.1f} {info['penalty']:>8.1f}")
 
 print(f"\nepisode return: {total:.1f}")
 print(f"final cumulative infections: {env.pop_size - info['week_counts'][-1].S}")

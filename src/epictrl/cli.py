@@ -268,6 +268,8 @@ def cmd_train(args) -> int:
         raise UsageError("dqn requires --space discrete")
     if args.episodes < 0:
         raise UsageError("--episodes must be >= 0")
+    if args.checkpoint_every < 0:
+        raise UsageError("--checkpoint-every must be >= 0")
     if args.resume:
         if not Path(args.resume).is_file():
             raise UsageError(f"resume checkpoint not found: {args.resume}")

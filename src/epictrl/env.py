@@ -100,19 +100,11 @@ class EpidemicEnv:
         block = min(self.env_cfg.step_days, days_left)
         weights = self.config.rewards
 
-        week_counts: list[DailyCounts] = []
-        r_h_daily: list[float] = []
-        r_e_daily: list[float] = []
-        r_e_scaled_daily: list[float] = []
+        week_counts = [self.sim.step_day(applied) for _ in range(block)]
+        rewards = [daily_reward(c, applied, weights, self.pop_size) for c in week_counts]
         reward = 0.0
-        for _ in range(block):
-            counts = self.sim.step_day(applied)
-            week_counts.append(counts)
-            dr = daily_reward(counts, applied, weights, self.pop_size)
-            r_h_daily.append(dr.r_h)
-            r_e_daily.append(dr.r_e)
-            r_e_scaled_daily.append(dr.r_e_scaled)
-            reward += dr.combined
+        for r in rewards:  # not sum(): from Python 3.12 it compensates rounding, which moves bits
+            reward += r.combined
 
         penalty = None
         if self.env_cfg.action_space_kind == "continuous":
@@ -128,12 +120,8 @@ class EpidemicEnv:
             "applied_action": applied,
             "activated": activated,
             "week_counts": week_counts,
-            "reward_components": {
-                "r_h_daily": r_h_daily,
-                "r_e_daily": r_e_daily,
-                "r_e_scaled_daily": r_e_scaled_daily,
-                "penalty": penalty,
-            },
+            "rewards": rewards,
+            "penalty": penalty,
         }
         return self._observe(), reward, self.sim.day >= self.env_cfg.episode_days, info
 
@@ -185,10 +173,7 @@ def evaluate(policy, env, seeds: list[int], keep_traces: bool = False) -> list[E
             obs, reward, done, info = env.step(action)
             total_return += reward
             series.extend(info["week_counts"])
-            losses.extend(
-                economic_loss(r_e, weights, pop_size)
-                for r_e in info["reward_components"]["r_e_daily"]
-            )
+            losses.extend(economic_loss(r.r_e, weights, pop_size) for r in info["rewards"])
             if keep_traces:
                 records.append(trace_record(obs, reward, info))
             day = info["day"]
@@ -223,10 +208,10 @@ def trace_record(obs: np.ndarray, reward: float, info: dict) -> dict:
         "activated": bool(info["activated"]),
         "reward": float(reward),
         "reward_components": {
-            "r_h_daily": [float(x) for x in info["reward_components"]["r_h_daily"]],
-            "r_e_daily": [float(x) for x in info["reward_components"]["r_e_daily"]],
-            "r_e_scaled_daily": [float(x) for x in info["reward_components"]["r_e_scaled_daily"]],
-            "penalty": info["reward_components"]["penalty"],
+            "r_h_daily": [float(r.r_h) for r in info["rewards"]],
+            "r_e_daily": [float(r.r_e) for r in info["rewards"]],
+            "r_e_scaled_daily": [float(r.r_e_scaled) for r in info["rewards"]],
+            "penalty": info["penalty"],
         },
         "week_counts": [asdict(c) for c in info["week_counts"]],
     }

@@ -1,7 +1,7 @@
-"""Health/economic reward terms, their combination, and daily economic loss.
+"""One day's reward record, the action-change penalty and the daily economic loss.
 
-All functions are pure and operate on one day's counts. The health term
-rewards recoveries and penalizes the day's new infections, severe cases and
+All functions are pure and operate on one day. The health term rewards
+recoveries and penalizes the day's new infections, severe cases and
 deaths. The economic term starts from the day's economic contribution
 (everyone except currently infected, quarantined and dead people works) and
 subtracts testing, quarantine-processing and lockdown costs; it is rescaled
@@ -22,38 +22,6 @@ PENALTY_SLOPE = 100.0
 PENALTY_DEADBAND = 0.2
 
 
-def health_reward(counts: DailyCounts, w: RewardWeights) -> float:
-    """New recoveries minus weighted new infections, severe cases, deaths."""
-    return (
-        counts.new_recovered
-        - w.omega1 * counts.new_infections
-        - w.omega2 * counts.new_severe
-        - w.omega3 * counts.new_deaths
-    )
-
-
-def economic_reward(
-    counts: DailyCounts,
-    action: Action,
-    w: RewardWeights,
-    pop_size: int,
-) -> tuple[float, float]:
-    """Daily economic reward, raw and rescaled.
-
-    The contribution term is C_E = P - M_I - M_Q - M_D; lockdown consumes
-    C_beta = P * (1 - ch_beta); testing and quarantine consume their unit
-    costs times the day's new tests and new quarantines. Returns
-    (r_E, r_E_scaled) with r_E_scaled = economic_scale * r_E / P.
-    """
-    p = float(pop_size)
-    c_e = p - counts.currently_infected - counts.currently_quarantined - counts.cumulative_dead
-    c_beta = p * (1.0 - action.ch_beta)
-    c_t = w.cost_per_test * counts.new_tests
-    c_q = w.quarantine_processing_cost * counts.new_quarantined
-    r_e = w.mu1 * c_e - w.mu2 * c_t - w.mu3 * c_q - w.mu4 * c_beta
-    return r_e, w.effective_scale(pop_size) * r_e / p
-
-
 def action_penalty(a_t: Action, a_prev: Action) -> float:
     """Penalty for changing the action by more than the deadband.
 
@@ -69,11 +37,6 @@ def action_penalty(a_t: Action, a_prev: Action) -> float:
     return float(total)
 
 
-def combine(r_h: float, r_e_scaled: float, w: RewardWeights) -> float:
-    """Weighted health plus economic reward; the environment adds lambda3 × penalty per step."""
-    return w.lambda1 * r_h + w.lambda2 * r_e_scaled
-
-
 def economic_loss(r_e: float, w: RewardWeights, pop_size: int) -> float:
     """Daily economic loss as a fraction of the no-epidemic economy.
 
@@ -85,7 +48,7 @@ def economic_loss(r_e: float, w: RewardWeights, pop_size: int) -> float:
     return (base - r_e) / base
 
 
-@dataclass
+@dataclass(slots=True)
 class DailyReward:
     """One day's reward components, as logged in environment traces."""
 
@@ -101,7 +64,26 @@ def daily_reward(
     w: RewardWeights,
     pop_size: int,
 ) -> DailyReward:
-    """Health + scaled economic reward for one day (no penalty term)."""
-    r_h = health_reward(counts, w)
-    r_e, r_e_scaled = economic_reward(counts, action, w, pop_size)
-    return DailyReward(r_h=r_h, r_e=r_e, r_e_scaled=r_e_scaled, combined=combine(r_h, r_e_scaled, w))
+    """Health + scaled economic reward for one day (no penalty term).
+
+    r_H = N_R - omega1 N_I - omega2 N_S - omega3 N_D over the day's new
+    recoveries, infections, severe cases and deaths. r_E = mu1 C_E -
+    mu2 C_T - mu3 C_Q - mu4 C_beta with C_E = P - M_I - M_Q - M_D, C_T and
+    C_Q the unit costs times the day's new tests and quarantines, and
+    C_beta = P (1 - ch_beta); r_E_scaled = economic_scale * r_E / P.
+    """
+    p = float(pop_size)
+    r_h = (
+        counts.new_recovered
+        - w.omega1 * counts.new_infections
+        - w.omega2 * counts.new_severe
+        - w.omega3 * counts.new_deaths
+    )
+    r_e = (
+        w.mu1 * (p - counts.currently_infected - counts.currently_quarantined - counts.cumulative_dead)
+        - w.mu2 * (w.cost_per_test * counts.new_tests)
+        - w.mu3 * (w.quarantine_processing_cost * counts.new_quarantined)
+        - w.mu4 * (p * (1.0 - action.ch_beta))
+    )
+    r_e_scaled = w.effective_scale(pop_size) * r_e / p
+    return DailyReward(r_h, r_e, r_e_scaled, w.lambda1 * r_h + w.lambda2 * r_e_scaled)

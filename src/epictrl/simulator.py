@@ -110,8 +110,8 @@ class AgentState:
         )
 
     def quarantined_on(self, day: int) -> np.ndarray:
-        """Mask of the agents whose quarantine covers the day."""
-        return (self.quarantine_start >= 0) & (self.quarantine_start <= day) & (day < self.quarantine_until)
+        """Mask of the agents whose quarantine covers the day (never quarantined: until = -1)."""
+        return (self.quarantine_start <= day) & (day < self.quarantine_until)
 
 
 @dataclass

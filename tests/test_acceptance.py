@@ -86,13 +86,7 @@ def test_criterion_1_conservation_and_determinism():
 
 
 def test_criterion_2_reward_oracle():
-    from epictrl.rewards import (
-        action_penalty,
-        combine,
-        economic_loss,
-        economic_reward,
-        health_reward,
-    )
+    from epictrl.rewards import action_penalty, daily_reward, economic_loss
 
     t0 = time.time()
     rng = np.random.default_rng(777)
@@ -102,12 +96,11 @@ def test_criterion_2_reward_oracle():
         counts, action, prev, w, pop = random_tuple(rng)
         continuous = k % 2 == 0
         o_rh, o_re, o_scaled, o_rp, o_total, o_le = _oracle(counts, action, w, pop, prev, continuous)
-        r_h = health_reward(counts, w)
-        r_e, r_scaled = economic_reward(counts, action, w, pop)
+        out = daily_reward(counts, action, w, pop)
         r_p = action_penalty(action, prev) if continuous else None
-        total = combine(r_h, r_scaled, w) + (w.lambda3 * r_p if continuous else 0.0)
-        l_e = economic_loss(r_e, w, pop)
-        checks = [rel_close(r_h, o_rh), rel_close(r_e, o_re), rel_close(r_scaled, o_scaled),
+        total = out.combined + (w.lambda3 * r_p if continuous else 0.0)
+        l_e = economic_loss(out.r_e, w, pop)
+        checks = [rel_close(out.r_h, o_rh), rel_close(out.r_e, o_re), rel_close(out.r_e_scaled, o_scaled),
                   rel_close(total, o_total), rel_close(l_e, o_le)]
         if continuous:
             checks.append(rel_close(r_p, o_rp))
@@ -119,7 +112,7 @@ def test_criterion_2_reward_oracle():
     # Boundary cases: penalty at d = 0.2 exactly, and the Eq. 6 null day.
     boundary = action_penalty(Action(0.7, 0.2, 0.4), Action(0.7, 0.0, 0.4)) == 0.0
     w = RewardWeights()
-    r_e, _ = economic_reward(make_counts(), Action(1.0, 0, 0), w, 2000)
+    r_e = daily_reward(make_counts(), Action(1.0, 0, 0), w, 2000).r_e
     null_case = economic_loss(r_e, w, 2000) == 0.0
     runtime = time.time() - t0
     verdict(2, "reward oracle", ok and boundary and null_case and runtime < 10,

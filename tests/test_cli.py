@@ -345,6 +345,16 @@ class TestTrain:
         assert (out / "checkpoint_final.json").exists()
         assert (out / "learning_curve.csv").read_text().strip() == "episode,return"
 
+    @pytest.mark.parametrize("flag", ["--episodes", "--checkpoint-every"])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, flag):
+        args = {"--episodes": 4, "--checkpoint-every": 0, flag: -2}
+        out = tmp_path / "x"
+        code = run_cli("train", "--out", out, "--agent", "ppo", "--space", "continuous",
+                       *(x for kv in args.items() for x in kv), *BASE_OVERRIDES)
+        assert code == 2
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dqn_continuous_is_usage_error(self, tmp_path):
         code = run_cli("train", "--out", tmp_path / "x", "--agent", "dqn",
                        "--space", "continuous", "--episodes", 1)

@@ -150,11 +150,11 @@ class TestRewardDecomposition:
         prev_applied = NULL_ACTION
         while not done:
             _, reward, done, info = env.step(action)
-            comps = info["reward_components"]
+            rewards = info["rewards"]
             expected = (
-                w.lambda1 * sum(comps["r_h_daily"])
-                + w.lambda2 * sum(comps["r_e_scaled_daily"])
-                + w.lambda3 * comps["penalty"]
+                w.lambda1 * sum(r.r_h for r in rewards)
+                + w.lambda2 * sum(r.r_e_scaled for r in rewards)
+                + w.lambda3 * info["penalty"]
             )
             assert abs(reward - expected) <= 1e-9 * max(1.0, abs(expected))
             prev_applied = info["applied_action"]
@@ -164,14 +164,14 @@ class TestRewardDecomposition:
         env = EpidemicEnv(small_cfg)
         env.reset(7)
         _, reward, _, info = env.step(encode_discrete(0))
-        assert info["reward_components"]["penalty"] is None
+        assert info["penalty"] is None
 
     def test_unchanged_action_contributes_zero_penalty(self, small_cfg):
         env = EpidemicEnv(small_cfg)
         env.reset(7)
         # Pre-activation applied actions are all null: penalty 0 every step.
         _, _, _, info = env.step(NULL_ACTION)
-        assert info["reward_components"]["penalty"] == 0.0
+        assert info["penalty"] == 0.0
 
     def test_observation_matches_final_day_counts(self, small_cfg):
         env = EpidemicEnv(small_cfg)

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from epictrl.config import RewardWeights
 from epictrl.interventions import Action
-from epictrl.rewards import (
-    action_penalty,
-    combine,
-    daily_reward,
-    economic_loss,
-    economic_reward,
-    health_reward,
-)
+from epictrl.rewards import action_penalty, daily_reward, economic_loss
 from epictrl.simulator import DailyCounts
 
 
@@ -30,19 +23,23 @@ def make_counts(**kwargs) -> DailyCounts:
     return DailyCounts(**base)
 
 
+def health_of(counts, w):
+    return daily_reward(counts, Action(1.0, 0, 0), w, 10_000).r_h
+
+
 class TestHealthReward:
     def test_all_flows_zero(self):
-        assert health_reward(make_counts(), RewardWeights()) == 0.0
+        assert health_of(make_counts(), RewardWeights()) == 0.0
 
     def test_hand_evaluation(self):
         w = RewardWeights(omega1=1, omega2=1, omega3=1)
         counts = make_counts(new_recovered=10, new_infections=4, new_severe=2, new_deaths=1)
-        assert health_reward(counts, w) == pytest.approx(3.0)
+        assert health_of(counts, w) == pytest.approx(3.0)
 
     def test_single_death_dominates(self):
         w = RewardWeights(omega3=100)
         counts = make_counts(new_deaths=1)
-        assert health_reward(counts, w) == pytest.approx(-100.0)
+        assert health_of(counts, w) == pytest.approx(-100.0)
 
     @given(scale=st.integers(min_value=1, max_value=50))
     @settings(max_examples=30, deadline=None)
@@ -53,38 +50,38 @@ class TestHealthReward:
             new_recovered=3 * scale, new_infections=2 * scale,
             new_severe=scale, new_deaths=scale,
         )
-        assert health_reward(scaled, w) == pytest.approx(scale * health_reward(base, w))
+        assert health_of(scaled, w) == pytest.approx(scale * health_of(base, w))
 
 
 class TestEconomicReward:
     def test_contribution_arithmetic(self):
         w = RewardWeights()
         counts = make_counts(currently_infected=100, currently_quarantined=50, cumulative_dead=10)
-        r_e, _ = economic_reward(counts, Action(1.0, 0, 0), w, pop_size=10_000)
+        r_e = daily_reward(counts, Action(1.0, 0, 0), w, pop_size=10_000).r_e
         assert r_e == pytest.approx(9840.0)  # C_E = P - M_I - M_Q - M_D
 
     def test_no_lockdown_no_beta_cost(self):
         w = RewardWeights()
-        r_full, _ = economic_reward(make_counts(), Action(1.0, 0, 0), w, pop_size=10_000)
+        r_full = daily_reward(make_counts(), Action(1.0, 0, 0), w, pop_size=10_000).r_e
         assert r_full == pytest.approx(10_000.0)
 
     def test_lockdown_cost_arithmetic(self):
         w = RewardWeights(mu4=1.0)
-        r_open, _ = economic_reward(make_counts(), Action(1.0, 0, 0), w, 10_000)
-        r_lock, _ = economic_reward(make_counts(), Action(0.6, 0, 0), w, 10_000)
+        r_open = daily_reward(make_counts(), Action(1.0, 0, 0), w, 10_000).r_e
+        r_lock = daily_reward(make_counts(), Action(0.6, 0, 0), w, 10_000).r_e
         assert r_open - r_lock == pytest.approx(4000.0)  # C_beta = P * (1 - 0.6)
 
     def test_scaling_default_matches_reference_population(self):
         # Default scale is pop_size/100, i.e. exactly 100 at 10,000 agents.
         w = RewardWeights()
         assert w.effective_scale(10_000) == pytest.approx(100.0)
-        r_e, r_scaled = economic_reward(make_counts(), Action(1.0, 0, 0), w, 10_000)
-        assert r_scaled == pytest.approx(100.0 * r_e / 10_000)
+        out = daily_reward(make_counts(), Action(1.0, 0, 0), w, 10_000)
+        assert out.r_e_scaled == pytest.approx(100.0 * out.r_e / 10_000)
 
     def test_explicit_scale_override(self):
         w = RewardWeights(economic_scale=7.0)
-        r_e, r_scaled = economic_reward(make_counts(), Action(1.0, 0, 0), w, 2_000)
-        assert r_scaled == pytest.approx(7.0 * r_e / 2_000)
+        out = daily_reward(make_counts(), Action(1.0, 0, 0), w, 2_000)
+        assert out.r_e_scaled == pytest.approx(7.0 * out.r_e / 2_000)
 
 
 class TestActionPenalty:
@@ -124,23 +121,30 @@ class TestActionPenalty:
 
 
 class TestCombine:
+    # r_H = 3 (three recoveries); r_E = 200 at P = 100 with no costs, so
+    # r_E_scaled = scale * r_E / P = 2.
+    COUNTS = make_counts(new_recovered=3)
+
+    def reward_of(self, w):
+        return daily_reward(self.COUNTS, Action(1.0, 0, 0), w, 100).combined
+
     def test_discrete_combination(self):
-        w = RewardWeights(lambda1=1, lambda2=1, lambda3=1)
-        assert combine(3.0, 2.0, w) == pytest.approx(5.0)
+        w = RewardWeights(lambda1=1, lambda2=1, lambda3=1, mu1=2.0, economic_scale=1.0)
+        assert self.reward_of(w) == pytest.approx(5.0)
 
     def test_continuous_adds_penalty(self):
-        w = RewardWeights(lambda1=1, lambda2=1, lambda3=1)
-        assert combine(3.0, 2.0, w) + w.lambda3 * -10.0 == pytest.approx(-5.0)
+        w = RewardWeights(lambda1=1, lambda2=1, lambda3=1, mu1=2.0, economic_scale=1.0)
+        assert self.reward_of(w) + w.lambda3 * -10.0 == pytest.approx(-5.0)
 
     def test_zero_weights(self):
         w = RewardWeights(lambda1=0, lambda2=0, lambda3=0)
-        assert combine(123.0, -77.0, w) + w.lambda3 * -10.0 == 0.0
+        assert self.reward_of(w) + w.lambda3 * -10.0 == 0.0
 
 
 class TestEconomicLoss:
     def test_null_day_loses_nothing(self):
         w = RewardWeights()
-        r_e, _ = economic_reward(make_counts(), Action(1.0, 0, 0), w, 10_000)
+        r_e = daily_reward(make_counts(), Action(1.0, 0, 0), w, 10_000).r_e
         assert economic_loss(r_e, w, 10_000) == 0.0
 
     def test_full_stop(self):
@@ -161,7 +165,7 @@ class TestEconomicLoss:
             counts = make_counts(
                 currently_infected=int(m[0]), currently_quarantined=int(m[1]), cumulative_dead=int(m[2])
             )
-            r_e, _ = economic_reward(counts, Action(1.0, 0, 0), w, p)
+            r_e = daily_reward(counts, Action(1.0, 0, 0), w, p).r_e
             assert 0.0 <= economic_loss(r_e, w, p) <= 1.0
 
     def test_general_bound_with_intervention_costs(self):
@@ -181,7 +185,7 @@ class TestEconomicLoss:
                 new_tests=int(rng.integers(0, 200)), new_quarantined=int(rng.integers(0, 200)),
             )
             action = Action(float(rng.uniform(0, 1)), 0.0, 0.0)
-            r_e, _ = economic_reward(counts, action, w, p)
+            r_e = daily_reward(counts, action, w, p).r_e
             cost_total = (w.mu2 * w.cost_per_test * counts.new_tests
                           + w.mu3 * w.quarantine_processing_cost * counts.new_quarantined
                           + w.mu4 * p * (1 - action.ch_beta))
@@ -265,20 +269,20 @@ def test_oracle_equivalence_1000_tuples():
         continuous = k % 2 == 0
         o_rh, o_re, o_scaled, o_rp, o_total, o_le = _oracle(counts, action, w, pop, prev, continuous)
 
-        assert rel_close(health_reward(counts, w), o_rh)
-        r_e, r_scaled = economic_reward(counts, action, w, pop)
-        assert rel_close(r_e, o_re)
-        assert rel_close(r_scaled, o_scaled)
+        out = daily_reward(counts, action, w, pop)
+        assert rel_close(out.r_h, o_rh)
+        assert rel_close(out.r_e, o_re)
+        assert rel_close(out.r_e_scaled, o_scaled)
         r_p = action_penalty(action, prev) if continuous else None
         if continuous:
             assert rel_close(r_p, o_rp)
-        total = combine(health_reward(counts, w), r_scaled, w) + (w.lambda3 * r_p if continuous else 0.0)
+        total = out.combined + (w.lambda3 * r_p if continuous else 0.0)
         assert rel_close(total, o_total)
-        assert rel_close(economic_loss(r_e, w, pop), o_le)
+        assert rel_close(economic_loss(out.r_e, w, pop), o_le)
 
 
 def test_daily_reward_bundles_components(small_cfg):
     w = small_cfg.rewards
     counts = make_counts(new_recovered=5, new_deaths=1, currently_infected=20)
     out = daily_reward(counts, Action(0.8, 0.2, 0.1), w, small_cfg.population.pop_size)
-    assert out.combined == pytest.approx(combine(out.r_h, out.r_e_scaled, w))
+    assert out.combined == w.lambda1 * out.r_h + w.lambda2 * out.r_e_scaled

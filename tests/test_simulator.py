@@ -460,6 +460,67 @@ class TestProgression:
         assert sim.state.epi_state[agent] == EpiState.I_SEVERE
 
 
+def mean_rounded_duration(mean: float, sd: float) -> float:
+    """Exact mean of max(1, rint(X)) for X lognormal with the given real-space moments."""
+    from scipy.stats import lognorm
+
+    sigma2 = np.log1p((sd / mean) ** 2)
+    dist = lognorm(s=np.sqrt(sigma2), scale=np.exp(np.log(mean) - sigma2 / 2))
+    k = np.arange(2, 40 * int(np.ceil(mean)))
+    return float(dist.cdf(1.5) + np.sum(k * (dist.cdf(k + 0.5) - dist.cdf(k - 0.5))))
+
+
+class TestMeanFieldOracle:
+    """A whole epidemic against the final-size relation 1 - z = (1 - z0) exp(-R0 z).
+
+    Community layer only, redrawn each day, so it nears homogeneous mixing;
+    no detection and the null action, so nothing but the disease course acts;
+    beta doubled (R0 about 2.6), so every run has ended by day 250. R0 is the
+    hazard one case emits: c contacts a day times h = -log1p(-p) per contact
+    day over its infectious days (the asymptomatic at p * asymp_factor), with
+    D the exact mean of the rounded, floored infectious duration, O the mean
+    severe onset delay, and a severe phase of D more days, as documented.
+    """
+
+    N, SEEDED, DAYS = 100_000, 500, 250
+
+    def config(self):
+        pop_cfg = PopulationConfig(pop_size=self.N, total_pop=float(self.N), pop_infected=float(self.SEEDED),
+                                   layer_weights=(0.0, 0.0, 0.0, 1.0),
+                                   beta_initial=2 * PopulationConfig().beta_initial)
+        int_cfg = InterventionConfig(symp_detection_prob=0.0, severe_detection_prob=0.0)
+        return pop_cfg, DiseaseConfig(), int_cfg
+
+    def predicted_final_size(self) -> float:
+        from scipy.optimize import brentq
+
+        pc, dc, _ = self.config()
+        d = mean_rounded_duration(dc.infectious_mean, dc.infectious_sd)
+        onset = (dc.severe_onset_min + dc.severe_onset_max) / 2
+        h = -np.log1p(-pc.beta_initial)
+        h_asym = -np.log1p(-pc.beta_initial * pc.asymp_factor)
+        days = sum(pi * ((1 - s) * d * h_asym + s * (1 - v) * d * h + s * v * (onset + d) * h)
+                   for pi, s, v in zip(pc.age_pyramid, dc.prob_symptomatic, dc.prob_severe_given_symptomatic))
+        r0 = pc.contacts_c * days
+        z0 = self.SEEDED / self.N
+        return brentq(lambda z: 1 - z - (1 - z0) * np.exp(-r0 * z), z0, 1.0)
+
+    # Seeds 0-3 give 0.8957, 0.8951, 0.8965 and 0.8984 (mean 0.8964): the
+    # coded model's own prediction is 0.8991, the documented model's 0.9088.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 11: severe agents recover or die on their onset day, "
+                              "so final sizes fall short of the documented model's")
+    def test_final_size_matches_the_final_size_relation(self):
+        sizes = []
+        for seed in range(4):
+            sim = Simulation(*self.config(), seed=seed)
+            for _ in range(self.DAYS):
+                counts = sim.step_day(NULL_ACTION)
+            assert counts.currently_infected == 0, "the epidemic had not ended"
+            sizes.append(1 - counts.S / self.N)
+        assert abs(np.mean(sizes) - self.predicted_final_size()) <= 0.005
+
+
 class TestEmitCounts:
     def test_stocks_and_quarantine_match_a_bincount_reference(self):
         sim = make_sim(pop_size=500)

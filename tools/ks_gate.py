@@ -1,12 +1,14 @@
 """Statistical gate for a deliberate model change: two-sample KS tests.
 
 Runs both source trees over the same seeds, 133 days per run, at 2k agents
-(10 seeded) and 10k agents (50 seeded), under the null action and under
-Action(0.75, 0.5, 0.5), and compares the distributions of final size
-(agents ever infected), peak day (first day of the highest E + I) and
-deaths with scipy's two-sample Kolmogorov-Smirnov test. It also reports
-the share of seeds whose epidemic stays below the take-off floor of
-tests/test_fingerprints.py.
+(10 seeded) and 10k agents (50 seeded) under the null action and under
+Action(0.75, 0.5, 0.5) at the default community mean c = 20; at 2k agents
+under both actions at c = 7.3, which exercises the partial community
+offset; and at 2k agents under the trace-heavy Action(0.5, 0.75, 0.75).
+It compares the distributions of final size (agents ever infected), peak
+day (first day of the highest E + I) and deaths with scipy's two-sample
+Kolmogorov-Smirnov test. It also reports the share of seeds whose epidemic
+stays below the take-off floor of tests/test_fingerprints.py.
 
     python tools/ks_gate.py OLD_SRC NEW_SRC [--seeds 200]
 
@@ -22,9 +24,12 @@ import json
 import subprocess
 import sys
 
-SCENARIOS = [(2000, 10, "null"), (2000, 10, "mixed"), (10000, 50, "null"), (10000, 50, "mixed")]
+SCENARIOS = [
+    (2000, 10, 20.0, "null"), (2000, 10, 20.0, "mixed"), (10000, 50, 20.0, "null"), (10000, 50, 20.0, "mixed"),
+    (2000, 10, 7.3, "null"), (2000, 10, 7.3, "mixed"), (2000, 10, 20.0, "trace-heavy"),
+]
 METRICS = ("final_size", "peak_day", "deaths")
-INFECTED_FLOOR = {"null": 0.5, "mixed": 0.025}
+INFECTED_FLOOR = {"null": 0.5, "mixed": 0.025, "trace-heavy": 0.015}
 DAYS = 133
 
 
@@ -32,20 +37,21 @@ def collect(seeds: int) -> dict:
     """Outcomes per scenario and seed, from the epictrl found on sys.path."""
     from epictrl import Action, FullConfig, NULL_ACTION, Simulation
 
-    actions = {"null": NULL_ACTION, "mixed": Action(0.75, 0.5, 0.5)}
+    actions = {"null": NULL_ACTION, "mixed": Action(0.75, 0.5, 0.5), "trace-heavy": Action(0.5, 0.75, 0.75)}
     out = {}
-    for agents, seeded, action in SCENARIOS:
+    for agents, seeded, contacts_c, action in SCENARIOS:
         cfg = FullConfig()
         cfg.population.pop_size = agents
         cfg.population.total_pop = float(agents)
         cfg.population.pop_infected = float(seeded)
+        cfg.population.contacts_c = contacts_c
         rows = []
         for seed in range(seeds):
             sim = Simulation(cfg.population, cfg.disease, cfg.interventions, seed)
             series = [sim.step_day(actions[action]) for _ in range(DAYS)]
             prevalence = [c.currently_infected for c in series]
             rows.append((agents - series[-1].S, prevalence.index(max(prevalence)), series[-1].D))
-        out[f"{agents}/{seeded}/{action}"] = rows
+        out[f"{agents}/{seeded}/c={contacts_c:g}/{action}"] = rows
     return out
 
 
@@ -77,7 +83,7 @@ def main() -> int:
             print(f"| {key} | {metric} | {test.statistic:.4f} | {test.pvalue:.3f} "
                   f"| {sum(a) / len(a):.1f} | {sum(b) / len(b):.1f} |")
     for key in old:
-        agents, _, action = key.split("/")
+        agents, _, _, action = key.split("/")
         floor = INFECTED_FLOOR[action] * int(agents)
         below = [sum(row[0] <= floor for row in runs[key]) for runs in (old, new)]
         print(f"{key}: seeds at or below the take-off floor, old {below[0]}/{args.seeds}, new {below[1]}/{args.seeds}")
